@@ -20,9 +20,9 @@ and their compatibility with composition is itself a checkable report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .double import DecomposedDouble, DoubleMorphism
 from .errors import (
@@ -452,6 +452,7 @@ class Atlas:
     fiber_dims: Tuple[int, int, int]
     charts: Tuple[str, ...]
     edges: Tuple[Tuple[str, str, TransitionData], ...]
+    _index: Dict[Tuple[str, str], TransitionData] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.charts)) != len(self.charts):
@@ -465,12 +466,10 @@ class Atlas:
             seen.add((a, b))
             if t.base_dim != self.base_dim or t.fiber_dims != tuple(self.fiber_dims):
                 raise DimMismatch(f"edge ({a}, {b}) has inconsistent dimensions")
+        object.__setattr__(self, "_index", {(a, b): t for a, b, t in self.edges})
 
     def transition(self, a: str, b: str) -> Optional[TransitionData]:
-        for x, y, t in self.edges:
-            if (x, y) == (a, b):
-                return t
-        return None
+        return self._index.get((a, b))
 
     def mapped(self, fn: Callable[[TransitionData], TransitionData]) -> "Atlas":
         new_edges = tuple((a, b, fn(t)) for a, b, t in self.edges)
@@ -552,8 +551,9 @@ def check_atlas_model_hull(atlas: Atlas) -> Report:
         for b2, c, t_bc in atlas.edges:
             if b2 != b or a == b or b == c:
                 continue
+            t_ac = compose(t_ab, t_bc)
             diff = first_difference(
-                induce_model(compose(t_ab, t_bc)),
+                induce_model(t_ac),
                 compose(induce_model(t_ab), induce_model(t_bc)),
             )
             extra.append(
@@ -562,7 +562,7 @@ def check_atlas_model_hull(atlas: Atlas) -> Report:
                 )
             )
             diff = first_difference(
-                induce_hull(compose(t_ab, t_bc)),
+                induce_hull(t_ac),
                 compose(induce_hull(t_ab), induce_hull(t_bc)),
             )
             extra.append(

@@ -3,18 +3,78 @@
 A polynomial in ``nvars`` variables is a dict from exponent tuples to nonzero
 Fraction coefficients.  These are the coefficient functions of fiber-bundle
 transition data, so composition and evaluation must be exact.
+
+Every ``Poly`` holds this invariant: each key of ``terms`` is a tuple of
+``nvars`` non-negative ints and each value is a nonzero ``Fraction``.  The
+public constructor ``Poly(nvars, terms)`` establishes it for any input.  The
+results the kernel computes itself (sums, negations, products and
+substitutions of polynomials that already hold it) are wrapped by
+``Poly._trusted``, which checks nothing; the code that builds them drops
+zero coefficients before wrapping, and that is all the invariant needs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Mapping, Sequence, Tuple
 
 from ..errors import DimMismatch, MissingSubstitute, SingularMatrix
 from .linalg import Mat, Vec
-from .scalar import Scalar, as_scalar, format_scalar
+from .scalar import ONE, Scalar, as_scalar, format_scalar
 
 Exponent = Tuple[int, ...]
+Terms = Dict[Exponent, Scalar]
+
+
+def _nonzero(terms: Terms) -> Terms:
+    return {e: c for e, c in terms.items() if c}
+
+
+def _mul_terms(a: Terms, b: Terms) -> Terms:
+    """The product of two term dicts, zero coefficients dropped."""
+    out: Terms = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exp = tuple(map(add, e1, e2))
+            out[exp] = out[exp] + c1 * c2 if exp in out else c1 * c2
+    return _nonzero(out)
+
+
+def _monomial(exp: Exponent, table: Sequence, target: int, monomials: Dict[Exponent, Terms]) -> Terms:
+    """The terms of ``prod(table[i] ** exp[i])``, through the cache ``monomials``.
+
+    A missing monomial is the cached one with the last nonzero exponent
+    lowered by one, times that one substitute; every monomial passed on the
+    way down is cached too.
+    """
+    chain = []
+    while exp not in monomials:
+        i = next((j for j in range(len(exp) - 1, -1, -1) if exp[j]), None)
+        if i is None:
+            monomials[exp] = {(0,) * target: ONE}
+            break
+        chain.append((exp, i))
+        exp = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+    mono = monomials[exp]
+    for exp, i in reversed(chain):
+        mono = _mul_terms(mono, table[i].terms)
+        monomials[exp] = mono
+    return mono
+
+
+def _substitute(terms: Terms, table: Sequence, target: int, monomials: Dict[Exponent, Terms]) -> Terms:
+    """``sum(c * prod(table[i] ** e[i]))`` over ``terms``, zero coefficients dropped.
+
+    ``monomials`` caches the products of substitutes by source exponent.  It
+    stays valid for every later call with the same ``table`` and ``target``,
+    and its term dicts must never be mutated.
+    """
+    out: Terms = {}
+    for exp, coeff in terms.items():
+        for e, c in _monomial(exp, table, target, monomials).items():
+            out[e] = out[e] + coeff * c if e in out else coeff * c
+    return _nonzero(out)
 
 
 class Poly:
@@ -37,6 +97,14 @@ class Poly:
                     del clean[exp]
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: Terms) -> "Poly":
+        """Wrap ``terms`` without checks; they must already hold the invariant."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *args):  # pragma: no cover - defensive
         raise AttributeError("Poly is immutable")
@@ -94,8 +162,8 @@ class Poly:
             return NotImplemented
         merged = dict(self.terms)
         for exp, c in other.terms.items():
-            merged[exp] = merged.get(exp, Fraction(0)) + c
-        return Poly(self.nvars, merged)
+            merged[exp] = merged[exp] + c if exp in merged else c
+        return Poly._trusted(self.nvars, _nonzero(merged))
 
     __radd__ = __add__
 
@@ -109,21 +177,16 @@ class Poly:
         return (-self) + other
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_scalar(other)
-            return Poly(self.nvars, {e: k * c for e, k in self.terms.items()})
+            return Poly._trusted(self.nvars, _nonzero({e: k * c for e, k in self.terms.items()}))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: Dict[Exponent, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
-        return Poly(self.nvars, out)
+        return Poly._trusted(self.nvars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -135,8 +198,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -152,7 +216,7 @@ class Poly:
     def eval(self, point: Sequence) -> Scalar:
         if len(point) != self.nvars:
             raise DimMismatch(f"evaluation point has {len(point)} coords, expected {self.nvars}")
-        pt = [as_scalar(p) if isinstance(p, (int, str)) else p for p in point]
+        pt = [p if isinstance(p, Fraction) else as_scalar(p) for p in point]
         total = Fraction(0)
         for exp, coeff in self.terms.items():
             term = coeff
@@ -179,26 +243,19 @@ class Poly:
                 target = next(iter(subs.values())).nvars
             else:
                 target = self.nvars
-            table = {i: subs[i] for i in used}
+            table = [subs.get(i) for i in range(self.nvars)]
+            checked = [table[i] for i in used]
         else:
-            subs = list(subs)
-            if len(subs) != self.nvars:
+            table = checked = list(subs)
+            if len(table) != self.nvars:
                 raise MissingSubstitute(
-                    f"{len(subs)} substitutes for {self.nvars} variables"
+                    f"{len(table)} substitutes for {self.nvars} variables"
                 )
-            target = subs[0].nvars if subs else 0
-            table = dict(enumerate(subs))
-        for p in table.values():
+            target = table[0].nvars if table else 0
+        for p in checked:
             if p.nvars != target:
                 raise DimMismatch("substitutes have mixed arities")
-        result = Poly.zero(target)
-        for exp, coeff in self.terms.items():
-            term = Poly.const(target, coeff)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * table[i] ** e
-            result = result + term
-        return result
+        return Poly._trusted(target, _substitute(self.terms, table, target, {}))
 
     # ---- rendering ----
 
@@ -236,9 +293,14 @@ def poly_compose(outer: Poly, inner: Sequence[Poly]) -> Poly:
 
 
 class BaseMap:
-    """An invertible affine change of base coordinates, ``x' = P x + q``."""
+    """An invertible affine change of base coordinates, ``x' = P x + q``.
 
-    __slots__ = ("P", "q")
+    A base map keeps its rows as polynomials and a cache of the products of
+    those rows it has built while pulling polynomials back, so every
+    pullback through one map shares them.
+    """
+
+    __slots__ = ("P", "q", "_rows", "_monomials")
 
     def __init__(self, P: Mat, q: Vec):
         if P.nrows != P.ncols:
@@ -249,6 +311,8 @@ class BaseMap:
             raise SingularMatrix("base map is not invertible")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_monomials", {})
 
     def __setattr__(self, *args):  # pragma: no cover - defensive
         raise AttributeError("BaseMap is immutable")
@@ -276,21 +340,27 @@ class BaseMap:
 
     def as_polys(self) -> list:
         """The map's rows as degree-<=1 polynomials in x1..xm."""
-        m = self.dim
-        out = []
-        for i in range(m):
-            terms = {(0,) * m: self.q[i]}
-            for j in range(m):
-                exp = tuple(1 if k == j else 0 for k in range(m))
-                terms[exp] = self.P[i, j]
-            out.append(Poly(m, terms))
-        return out
+        return list(self._table())
+
+    def _table(self) -> Tuple[Poly, ...]:
+        # Built on first use: most base maps elaborated from a document are
+        # never pulled back through.
+        if self._rows is None:
+            m = self.dim
+            rows = []
+            for i in range(m):
+                terms = {(0,) * m: self.q[i]}
+                for j in range(m):
+                    terms[tuple(1 if k == j else 0 for k in range(m))] = self.P[i, j]
+                rows.append(Poly(m, terms))
+            object.__setattr__(self, "_rows", tuple(rows))
+        return self._rows
 
     def pullback(self, f: Poly) -> Poly:
         """``f`` composed with this map: x -> f(P x + q)."""
         if f.nvars != self.dim:
             raise DimMismatch("polynomial arity does not match base dimension")
-        return f.subst(self.as_polys())
+        return Poly._trusted(self.dim, _substitute(f.terms, self._table(), self.dim, self._monomials))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BaseMap) and self.P == other.P and self.q == other.q

@@ -751,5 +751,7 @@ def run(doc: dsl.Document, command: str, seed: int = 0, trials: int = 100) -> Re
         suite = command[len("verify:"):]
         if suite not in SUITES:
             raise UnknownSuite(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+        if trials < 1:
+            raise DaffineError(f"trials must be at least 1, got {trials}")
         return SUITES[suite](objs, seed, trials)
     raise DaffineError(f"unknown command {command!r}")

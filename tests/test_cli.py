@@ -59,6 +59,15 @@ def test_unknown_suite_is_an_argparse_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_without_a_trial_exits_two(trials, capsys):
+    code = cli.main(["verify", "--suite", "interchange", "--trials", trials, fixture("minimal.daff")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "trials" in captured.err
+
+
 def test_unknown_suite_in_the_library_raises():
     doc = dsl.parse((FIXTURES / "minimal.daff").read_text())
     with pytest.raises(UnknownSuite):
