@@ -62,7 +62,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
         report = suites.run(dsl.parse(text), command, seed=seed, trials=trials)
-    except (OSError, DaffineError) as exc:
+    except (OSError, UnicodeDecodeError, DaffineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,9 +19,11 @@ reproduces it exactly.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from typing import Dict, List, Optional, Tuple, Union
 
 from .affine import BispecialRep
@@ -104,21 +106,6 @@ def _canon(terms: Dict[Monomial, Fraction]) -> Value:
     return PolyValue(tuple(sorted(kept.items(), key=_term_key)))
 
 
-def _pconst(c: Fraction) -> Dict[Monomial, Fraction]:
-    return {(): Fraction(c)}
-
-
-def _pvar(i: int) -> Dict[Monomial, Fraction]:
-    return {((i, 1),): Fraction(1)}
-
-
-def _padd(a, b, sign=1):
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, Fraction(0)) + sign * c
-    return out
-
-
 def _pmul(a, b):
     out: Dict[Monomial, Fraction] = {}
     for m1, c1 in a.items():
@@ -127,67 +114,60 @@ def _pmul(a, b):
             for v, e in m2:
                 merged[v] = merged.get(v, 0) + e
             key = tuple(sorted(merged.items()))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
+            # a variable's coefficient is the shared _ONE: skip multiplying by it
+            c = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
+            out[key] = out[key] + c if key in out else c
     return out
 
 
 def _ppow(a, k: int):
-    out = _pconst(Fraction(1))
-    for _ in range(k):
-        out = _pmul(out, a)
-    return out
+    if len(a) == 1:  # a monomial: scale its exponents
+        ((mono, c),) = a.items()
+        return {tuple((v, e * k) for v, e in mono) if k else (): c if c is _ONE else c**k}
+    return reduce(_pmul, [a] * k, {(): _ONE})
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer and parser
+#
+# A token is the string ``_TOKEN`` captures: a run of decimal digits, an
+# identifier, one punctuation character, or "": the end of the input or,
+# before the end, a character that starts no token.  Tokens carry no
+# position; ``_error_at`` works it out from the text when an error is raised.
+
+MAX_NESTING = 100
+"""Deepest nesting of ``[`` and ``(`` in a value; one level more is a ParseError."""
+
+MAX_EXPONENT = 100
+"""Largest exponent of a power; ``x1^a^b`` is ``x1^(a*b)`` and counts as ``a*b``."""
+
+_ONE = Fraction(1)
+_PUNCT = frozenset("{}[]=;,./+-*^()")
+_STARTS = _PUNCT | {"_"}  # with letters and digits, the characters a token starts with
+_ENDS = frozenset(";,]")  # the tokens that may follow a value
+_SKIP = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_TOKEN = re.compile(r"(\d+|[^\W\d]\w*|[{}\[\]=;,./+\-*^()]|)" + _SKIP.pattern)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | int | punct | eof
-    text: str
-    line: int
-    col: int
+def _error_at(text: str, index: int, expected, found: str = "") -> ParseError:
+    """A ParseError at the token with this index; by default it names the character there."""
+    matches = _TOKEN.finditer(text, _SKIP.match(text).end())
+    offset = next(itertools.islice(matches, index, None)).start()
+    if offset == len(text):  # at the end, a comment open on the last line ends where it starts
+        hash_at = text.find("#", text.rfind("\n") + 1)
+        offset = offset if hash_at < 0 else hash_at
+    line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    return ParseError(line, col, expected, found=found or repr(text[offset]))
 
 
-_PUNCT = set("{}[]=;,./+-*^()")
-
-
-def _tokenize(text: str) -> List[Token]:
-    toks: List[Token] = []
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if ch in " \t\r":
-            col, i = col + 1, i + 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col, i = col + (j - i), j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col, i = col + (j - i), j
-            continue
-        if ch in _PUNCT:
-            toks.append(Token("punct", ch, line, col))
-            col, i = col + 1, i + 1
-            continue
-        raise ParseError(line, col, ("a token",), found=repr(ch))
-    toks.append(Token("eof", "", line, col))
+def _tokenize(text: str) -> List[str]:
+    toks = _TOKEN.findall(text, _SKIP.match(text).end())
+    bad = toks.index("")
+    if not text.isascii():  # [^\W\d] also matches non-letters such as "²" and "½"
+        starts = [t[0].isalpha() or t[0] in _STARTS or t.isdecimal() for t in toks[:bad]]
+        bad = bad if all(starts) else starts.index(False)
+    if bad < len(toks) - 1:
+        raise _error_at(text, bad, ("a token",))
     return toks
 
 
@@ -236,177 +216,201 @@ _NONEMPTY = {"alpha", "v", "l1", "l2", "sigma", "omega", "fiber_dims", "charts"}
 
 
 class _Parser:
-    def __init__(self, toks: List[Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
+        distinct = dict.fromkeys(toks)  # in order of first appearance
+        self.ints: Dict[str, int] = {}
+        for t in distinct:
+            if t[:1].isdecimal():
+                try:
+                    self.ints[t] = int(t)
+                except ValueError:  # more digits than int() converts
+                    self.fail(("a number with fewer digits",), toks.index(t))
+        self.vars = {t: int(m.group(1)) - 1 for t in distinct if (m := _VAR_RE.match(t))}
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def fail(self, expected, index: Optional[int] = None, found: str = "") -> None:
+        index = self.i if index is None else index
+        raise _error_at(self.text, index, expected, found or self.toks[index] or "end of input")
 
-    def advance(self) -> Token:
+    def is_ident(self, tok: str) -> bool:
+        return bool(tok) and tok not in _PUNCT and tok not in self.ints
+
+    def expect(self, punct: str) -> None:
+        if self.toks[self.i] != punct:
+            self.fail((f"'{punct}'",))
+        self.i += 1
+
+    def ident(self, what: str) -> str:
         tok = self.toks[self.i]
-        if tok.kind != "eof":
-            self.i += 1
+        if not self.is_ident(tok):
+            self.fail((what,))
+        self.i += 1
         return tok
 
-    def fail(self, expected) -> None:
-        tok = self.peek()
-        raise ParseError(
-            tok.line, tok.col, expected, found=tok.text or "end of input"
-        )
-
-    def expect_punct(self, ch: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != ch:
-            self.fail((f"'{ch}'",))
-        return self.advance()
-
-    def expect_ident(self, what: str = "an identifier") -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.fail((what,))
-        return self.advance()
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == ch
+    def open(self) -> None:
+        """Step into a ``[`` or ``(``, keeping within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self.fail((f"at most {MAX_NESTING} levels of nesting",))
+        self.depth += 1
+        self.i += 1
 
     # -- grammar ------------------------------------------------------------
 
     def document(self) -> Document:
-        blocks = []
-        names = set()
-        while self.peek().kind != "eof":
+        blocks: Dict[str, Block] = {}
+        while self.toks[self.i]:
             block = self.block()
-            if block.name in names:
+            if block.name in blocks:
                 raise DuplicateName(f"duplicate block name '{block.name}'")
-            names.add(block.name)
-            blocks.append(block)
-        return Document(tuple(blocks))
+            blocks[block.name] = block
+        return Document(tuple(blocks.values()))
 
     def block(self) -> Block:
-        kind_tok = self.peek()
-        if kind_tok.kind != "ident" or kind_tok.text not in BLOCK_KINDS:
+        kind = self.toks[self.i]
+        if kind not in BLOCK_KINDS:
             self.fail(tuple(BLOCK_KINDS))
-        self.advance()
-        name = self.expect_ident("a block name").text
-        self.expect_punct("{")
+        self.i += 1
+        name = self.ident("a block name")
+        self.expect("{")
         fields = []
         seen = set()
-        while not self.at_punct("}"):
-            key_tok = self.peek()
+        while self.toks[self.i] != "}":
+            at = self.i
             key = self.key()
             if key in seen:
-                raise ParseError(
-                    key_tok.line, key_tok.col, (f"a key other than '{key}'",), found=key
-                )
+                self.fail((f"a key other than '{key}'",), at, found=key)
             seen.add(key)
-            self.expect_punct("=")
+            self.expect("=")
             value = self.value()
-            if key.rsplit(".", 1)[-1] in _NONEMPTY and value == ():
-                raise ParseError(
-                    key_tok.line, key_tok.col, (f"a nonempty value for '{key}'",), found="[]"
-                )
-            self.expect_punct(";")
-            fields.append((key, value, key_tok))
-        self.expect_punct("}")
-        return Block(kind_tok.text, name, _canonical_fields(kind_tok.text, fields))
+            if value == () and key.rsplit(".", 1)[-1] in _NONEMPTY:
+                self.fail((f"a nonempty value for '{key}'",), at, found="[]")
+            self.expect(";")
+            fields.append((key, value, at))
+        self.i += 1
+        return Block(kind, name, _canonical_fields(kind, fields, partial(_error_at, self.text)))
 
     def key(self) -> str:
-        parts = [self.expect_ident("a field key").text]
-        while self.at_punct("."):
-            self.advance()
-            parts.append(self.expect_ident("a key segment").text)
+        parts = [self.ident("a field key")]
+        while self.toks[self.i] == ".":
+            self.i += 1
+            parts.append(self.ident("a key segment"))
         return ".".join(parts)
 
     def value(self) -> Value:
-        if self.at_punct("["):
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        if tok == "[":
             return self.list_value()
-        tok = self.peek()
-        if tok.kind == "ident" and not _VAR_RE.match(tok.text):
-            self.advance()
-            if not (self.at_punct(";") or self.at_punct(",") or self.at_punct("]")):
+        j = i + 1 if tok == "-" else i
+        if toks[j] in self.ints:  # fast path: a rational [-]p[/q] that ends the value
+            r, end = self.rational(j)
+            if toks[end] in _ENDS:
+                self.i = end
+                return -r if j > i else r
+        if self.is_ident(tok) and tok not in self.vars:
+            self.i = i + 1
+            if toks[i + 1] not in _ENDS:
                 self.fail(("';'", "','", "']'"))
-            return tok.text
+            return tok
         return _canon(self.expr())
 
+    def rational(self, j: int) -> Tuple[Fraction, int]:
+        """The rational p or p/q whose numerator is token j, and the index after it."""
+        toks = self.toks
+        p = self.ints[toks[j]]
+        if toks[j + 1] != "/":
+            return Fraction(p), j + 1
+        q = self.ints.get(toks[j + 2])
+        if q is None:
+            self.fail(("a denominator",), j + 2)
+        if not q:
+            self.fail(("a nonzero denominator",), j + 2)
+        return Fraction(p, q), j + 3
+
     def list_value(self) -> Tuple[Value, ...]:
-        self.expect_punct("[")
+        self.open()
         items: List[Value] = []
-        if not self.at_punct("]"):
+        if self.toks[self.i] != "]":
             items.append(self.value())
-            while self.at_punct(","):
-                self.advance()
+            while self.toks[self.i] == ",":
+                self.i += 1
                 items.append(self.value())
-        self.expect_punct("]")
+        self.expect("]")
+        self.depth -= 1
         return tuple(items)
 
-    # -- polynomial expressions ----------------------------------------------
+    # -- polynomial expressions: dicts {monomial: coefficient} owned by the caller
 
     def expr(self):
         out = self.term()
-        while self.at_punct("+") or self.at_punct("-"):
-            sign = 1 if self.advance().text == "+" else -1
-            out = _padd(out, self.term(), sign)
+        toks = self.toks
+        while toks[self.i] in ("+", "-"):
+            neg = toks[self.i] == "-"
+            self.i += 1
+            for m, c in self.term().items():
+                c = -c if neg else c
+                out[m] = out[m] + c if m in out else c
         return out
 
     def term(self):
         out = self.factor()
-        while self.at_punct("*"):
-            self.advance()
+        while self.toks[self.i] == "*":
+            self.i += 1
             out = _pmul(out, self.factor())
         return out
 
     def factor(self):
+        toks = self.toks
         neg = False
-        while self.at_punct("-"):
-            self.advance()
+        while toks[self.i] == "-":
+            self.i += 1
             neg = not neg
-        base = self.atom()
-        while self.at_punct("^"):
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "int":
-                self.fail(("an integer exponent",))
-            self.advance()
-            base = _ppow(base, int(tok.text))
-        return _padd(_pconst(Fraction(0)), base, -1 if neg else 1)
-
-    def atom(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            num = int(tok.text)
-            if self.at_punct("/"):
-                self.advance()
-                den_tok = self.peek()
-                if den_tok.kind != "int":
-                    self.fail(("a denominator",))
-                self.advance()
-                return _pconst(Fraction(num, int(den_tok.text)))
-            return _pconst(Fraction(num))
-        if tok.kind == "ident":
-            m = _VAR_RE.match(tok.text)
-            if m:
-                self.advance()
-                return _pvar(int(m.group(1)) - 1)
+        tok = toks[self.i]
+        if tok in self.ints:
+            r, self.i = self.rational(self.i)
+            base = {(): r}
+        elif tok in self.vars:
+            self.i += 1
+            base = {((self.vars[tok], 1),): _ONE}
+        elif tok == "(":
+            self.open()
+            base = self.expr()
+            self.expect(")")
+            self.depth -= 1
+        elif self.is_ident(tok):
             self.fail(("a variable x<k>",))
-        if self.at_punct("("):
-            self.advance()
-            out = self.expr()
-            self.expect_punct(")")
-            return out
-        self.fail(("a rational", "a variable x<k>", "'('"))
+        else:
+            self.fail(("a rational", "a variable x<k>", "'('"))
+        k = 1
+        while toks[self.i] == "^":
+            self.i += 1
+            e = self.ints.get(toks[self.i])
+            if e is None:
+                self.fail(("an integer exponent",))
+            k *= e
+            if e > MAX_EXPONENT or k > MAX_EXPONENT:
+                self.fail((f"an exponent of at most {MAX_EXPONENT}",))
+            self.i += 1
+        if k != 1:
+            base = _ppow(base, k)
+        if neg:
+            for m in base:
+                base[m] = -base[m]
+        return base
 
 
-def _canonical_fields(kind: str, fields) -> Tuple[Tuple[str, Value], ...]:
-    """Validate field keys for the block kind and sort them canonically."""
+def _canonical_fields(kind: str, fields, error) -> Tuple[Tuple[str, Value], ...]:
+    """Validate the keys of ``(key, value, at)`` fields for the block kind and
+    sort them canonically; ``error(at, expected, key)`` is the ParseError for a bad key."""
 
     def order_key(entry):
-        key, _value, tok = entry
+        key, _value, at = entry
         if kind in _FIELD_ORDER:
             if key not in _FIELD_ORDER[kind]:
-                raise ParseError(tok.line, tok.col, _FIELD_ORDER[kind], found=key)
+                raise error(at, _FIELD_ORDER[kind], key)
             return (0, _FIELD_ORDER[kind].index(key), "")
         if kind == "graded":
             if key == "n":
@@ -417,26 +421,22 @@ def _canonical_fields(kind: str, fields) -> Tuple[Tuple[str, Value], ...]:
                 return (2, key[2:].index("1"), "")
             if key == "sigma":
                 return (3, 0, "")
-            raise ParseError(
-                tok.line, tok.col, ("n", "dim_<bits>", "l_<unit bits>", "sigma"), found=key
-            )
+            raise error(at, ("n", "dim_<bits>", "l_<unit bits>", "sigma"), key)
         # atlas: head fields, then src.dst.field edge entries
         if key in _ATLAS_HEAD:
             return (0, _ATLAS_HEAD.index(key), "")
         parts = key.split(".")
         if len(parts) == 3 and parts[2] in _EDGE_FIELDS:
             return (1, (parts[0], parts[1]), _EDGE_FIELDS.index(parts[2]))
-        raise ParseError(
-            tok.line, tok.col, _ATLAS_HEAD + ("<src>.<dst>.<field>",), found=key
-        )
+        raise error(at, _ATLAS_HEAD + ("<src>.<dst>.<field>",), key)
 
     decorated = sorted(((order_key(e), e) for e in fields), key=lambda p: p[0])
-    return tuple((key, value) for _, (key, value, _tok) in decorated)
+    return tuple((key, value) for _, (key, value, _at) in decorated)
 
 
 def parse(text: str) -> Document:
     """Parse source text into a canonical Document."""
-    return _Parser(_tokenize(text)).document()
+    return _Parser(text).document()
 
 
 def format_value(v: Value) -> str:
@@ -490,8 +490,8 @@ def value_of_bilinear(b: Bilinear) -> Tuple[Value, ...]:
 
 
 def _canonical(kind: str, pairs) -> Tuple[Tuple[str, Value], ...]:
-    dummy = [(k, v, Token("ident", k, 0, 0)) for k, v in pairs]
-    return _canonical_fields(kind, dummy)
+    fields = [(k, v, None) for k, v in pairs]
+    return _canonical_fields(kind, fields, lambda _at, want, key: ParseError(0, 0, want, key))
 
 
 def block_from_space(name: str, rep: BispecialRep) -> Block:

@@ -1,9 +1,12 @@
 """Exit codes, output formats, and determinism of the command-line tool."""
 
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from daffine import cli, dsl, suites
 from daffine.errors import UnknownOp, UnknownSuite
@@ -32,6 +35,74 @@ def test_check_parse_error_exits_two(capsys):
 def test_missing_file_exits_two(capsys):
     assert cli.main(["check", fixture("no_such_file.daff")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "double A { n1=1; n2=1; n3=1; l1=[1/0]; l2=[1]; }",
+        "double A { n1=²; }",
+        "double A { n1 = " + "(" * 3000 + "1" + ")" * 3000 + "; }",
+        "double A { n1 = " + "[" * 3000 + "1" + "]" * 3000 + "; }",
+        "double A { n1 = x1^999999999; }",
+    ],
+)
+def test_malformed_literal_exits_two(source, tmp_path, capsys):
+    path = tmp_path / "doc.daff"
+    path.write_text(source, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 1, col ")
+
+
+def test_undecodable_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "doc.daff"
+    path.write_bytes(b"double A { n1 = 1; \xff }")
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
+FIXTURE_BYTES = [p.read_bytes() for p in sorted(FIXTURES.glob("*.daff"))]
+TOKEN = re.compile(rb"\w+|[^\w\s]")
+
+
+@st.composite
+def mutated_fixture(draw):
+    """A fixture with a few tokens deleted, duplicated or swapped, or bytes spliced in."""
+    text = draw(st.sampled_from(FIXTURE_BYTES))
+    for _ in range(draw(st.integers(1, 4))):
+        spans = [m.span() for m in TOKEN.finditer(text)] or [(0, 0)]
+        a, b = draw(st.sampled_from(spans))
+        op = draw(st.sampled_from(("delete", "duplicate", "swap", "splice")))
+        if op == "delete":
+            text = text[:a] + text[b:]
+        elif op == "duplicate":
+            text = text[:b] + text[a:b] + text[b:]
+        elif op == "swap":
+            c, d = draw(st.sampled_from(spans))
+            (a, b), (c, d) = sorted([(a, b), (c, d)])
+            if b <= c:
+                text = text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+        else:
+            other = draw(st.sampled_from(FIXTURE_BYTES))
+            start = draw(st.integers(0, len(other)))
+            piece = draw(st.one_of(st.binary(min_size=1, max_size=8), st.just(other[start:][:40])))
+            text = text[:a] + piece + text[a:]
+    return text
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_fixture())
+def test_check_on_mutated_fixtures_exits_zero_one_or_two(source):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.daff"
+        path.write_bytes(source)
+        try:
+            code = cli.main(["check", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
 
 
 def test_verify_passing_suite_exits_zero(capsys):

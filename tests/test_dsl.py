@@ -1,6 +1,7 @@
 """Parsing, canonical printing, and elaboration of bundle documents."""
 
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,6 +11,8 @@ from daffine import dsl
 from daffine.affine import BispecialRep
 from daffine.atlas import Atlas, first_difference
 from daffine.dsl import (
+    MAX_EXPONENT,
+    MAX_NESTING,
     Document,
     DoubleBlock,
     PolyValue,
@@ -94,6 +97,108 @@ def test_stray_character_is_a_tokenizer_error():
     with pytest.raises(ParseError) as err:
         parse("double A { n1 = @; }")
     assert (err.value.line, err.value.col) == (1, 17)
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("double A {\n  n1 = 1; # note\n  n2 = ; }", 3, 8),
+        ("double A {\r\n\tn1 = @; }", 2, 7),
+        ("double A { n1 = 1; # no newline at the end", 1, 20),
+        ("double A { n1 = 1;\n# closing comment\n", 3, 1),
+    ],
+)
+def test_error_positions_count_characters_on_the_line(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "text, bad",
+    [("double A { n1=²; }", "²"), ("double A { n1=1²; }", "²"), ("double A { n1=½; }", "½")],
+)
+def test_digit_that_is_not_decimal_is_a_tokenizer_error(text, bad):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (1, text.index(bad) + 1)
+    assert err.value.expected == ("a token",)
+    assert err.value.found == repr(bad)
+
+
+def test_unicode_decimal_digits_and_letters_are_accepted():
+    doc = parse("double é { n1 = ١٢; n2 = x²; }")
+    assert doc.blocks[0].name == "é"
+    assert doc.blocks[0].field_map() == {"n1": F(12), "n2": "x²"}
+
+
+@pytest.mark.parametrize(
+    "value, found", [("1/0", "0"), ("-1/0", "0"), ("2/00 * x1", "00"), ("x1 + 3/0", "0")]
+)
+def test_zero_denominator_is_a_parse_error(value, found):
+    text = f"double A {{ n1=1; n2=1; n3=1; l1=[{value}]; l2=[1]; }}"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.expected == ("a nonzero denominator",)
+    assert err.value.found == found
+    assert (err.value.line, err.value.col) == (1, text.index("/0") + 2)
+
+
+@pytest.mark.parametrize("bracket", ["()", "[]"])
+def test_nesting_is_bounded(bracket):
+    def doc(depth):
+        return f"double A {{ n1 = {bracket[0] * depth}1{bracket[1] * depth}; }}"
+
+    expected = F(1)
+    for _ in range(MAX_NESTING if bracket == "[]" else 0):
+        expected = (expected,)
+    assert parse(doc(MAX_NESTING)).blocks[0].field_map()["n1"] == expected
+    for depth in (MAX_NESTING + 1, 3000):
+        text = doc(depth)
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.expected == (f"at most {MAX_NESTING} levels of nesting",)
+        assert err.value.found == bracket[0]
+        assert err.value.col == text.index(bracket[0]) + MAX_NESTING + 1
+
+
+@pytest.mark.parametrize(
+    "power, found",
+    [
+        ("x1^999999999", "999999999"),
+        (f"x1^{MAX_EXPONENT + 1}", str(MAX_EXPONENT + 1)),
+        (f"(x1 + 1)^{MAX_EXPONENT + 1}", str(MAX_EXPONENT + 1)),
+        ("x1^10^20", "20"),
+    ],
+)
+def test_exponent_above_the_bound_is_a_parse_error(power, found):
+    text = f"double A {{ n1 = {power}; }}"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.expected == (f"an exponent of at most {MAX_EXPONENT}",)
+    assert err.value.found == found
+    assert err.value.col == text.rindex(found) + 1
+
+
+def test_powers_up_to_the_bound_expand_exactly():
+    fm = parse(
+        f"double A {{ n1 = x1^{MAX_EXPONENT}; n2 = (x1 + 1)^3 * x2^2^2; n3 = (2*x1)^0 - 0^0; }}"
+    ).blocks[0].field_map()
+    assert fm["n1"].to_poly(1) == Poly.variable(1, 0) ** MAX_EXPONENT
+    x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    assert fm["n2"].to_poly(2) == (x1 + Poly.const(2, 1)) ** 3 * x2**4
+    assert fm["n3"] == F(0)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() converts any length"
+)
+def test_number_longer_than_int_converts_is_a_parse_error():
+    text = "double A { n1 = 1; n2 = " + "7" * (sys.get_int_max_str_digits() + 1) + "; }"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.expected == ("a number with fewer digits",)
+    assert (err.value.line, err.value.col) == (1, text.index("7") + 1)
 
 
 def test_empty_vector_for_a_functional_names_the_field():

@@ -1,10 +1,13 @@
-"""Atlas reports must stay byte-identical to the recorded golden outputs.
+"""Reports and errors must stay byte-identical to the recorded golden outputs.
 
-Each file under ``fixtures/golden/`` is the exact stdout of one ``daff``
-command on one atlas fixture, named ``<fixture>.<command>-<suite or op>.<ext>``;
-``exit_codes.json`` holds the exit code of each.  The cocycle and model/hull
-checks are exact polynomial identities, so any change to the polynomial
-kernel or to how transitions are composed must leave these outputs unchanged.
+Each file under ``fixtures/golden/`` is the exact output of one ``daff``
+command on one fixture, named ``<fixture>.<command>[-<suite or op>].<ext>``:
+its stderr when the command exits 2, its stdout otherwise (the other stream
+must stay empty); ``exit_codes.json`` holds the exit code of each.  The
+cocycle and model/hull checks on the atlas fixtures are exact polynomial
+identities, so any change to the polynomial kernel or to how transitions are
+composed must leave those outputs unchanged; ``check`` on every fixture
+guards the parser, its error messages and elaboration.
 """
 
 import json
@@ -18,6 +21,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 COMMANDS = {
+    "check": ["check"],
     "verify-cocycle": ["verify", "--suite", "cocycle"],
     "verify-model-hull": ["verify", "--suite", "model-hull"],
     "build-hull": ["build", "--op", "hull"],
@@ -32,8 +36,11 @@ def test_report_matches_golden_output(name, capsys):
     argv = COMMANDS[command] + ["--format", FORMATS[ext], str(FIXTURES / f"{stem}.daff")]
     code = cli.main(argv)
     captured = capsys.readouterr()
-    assert captured.out == (GOLDEN / name).read_text()
-    assert captured.err == ""
+    shown, silent = captured.out, captured.err
+    if EXIT_CODES[name] == 2:
+        shown, silent = silent, shown
+    assert shown == (GOLDEN / name).read_text()
+    assert silent == ""
     assert code == EXIT_CODES[name]
 
 
