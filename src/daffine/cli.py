@@ -58,20 +58,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         command, seed, trials = f"verify:{args.suite}", args.seed, args.trials
 
+    out_path = getattr(args, "out", None)
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
         report = suites.run(dsl.parse(text), command, seed=seed, trials=trials)
+        rendered = report.to_json() if args.format == "json" else report.to_text()
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
     except (OSError, UnicodeDecodeError, DaffineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    rendered = report.to_json() if args.format == "json" else report.to_text()
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
+    if not out_path:
         sys.stdout.write(rendered)
     return 0 if report.passed else 1
 

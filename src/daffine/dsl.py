@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
+from math import comb
 from typing import Dict, List, Optional, Tuple, Union
 
 from .affine import BispecialRep
@@ -140,6 +141,11 @@ MAX_NESTING = 100
 
 MAX_EXPONENT = 100
 """Largest exponent of a power; ``x1^a^b`` is ``x1^(a*b)`` and counts as ``a*b``."""
+
+MAX_TERMS = 2000
+"""Most terms a product or power may expand to, bounded before expanding:
+``p*q`` by the product of the term counts, ``p^k`` of t terms by the number
+of degree-k monomials in t variables, C(t+k-1, k)."""
 
 _ONE = Fraction(1)
 _PUNCT = frozenset("{}[]=;,./+-*^()")
@@ -358,8 +364,12 @@ class _Parser:
     def term(self):
         out = self.factor()
         while self.toks[self.i] == "*":
+            at = self.i
             self.i += 1
-            out = _pmul(out, self.factor())
+            right = self.factor()
+            if len(out) * len(right) > MAX_TERMS:
+                self.fail((f"a product of at most {MAX_TERMS} terms",), at)
+            out = _pmul(out, right)
         return out
 
     def factor(self):
@@ -384,7 +394,7 @@ class _Parser:
             self.fail(("a variable x<k>",))
         else:
             self.fail(("a rational", "a variable x<k>", "'('"))
-        k = 1
+        k, at = 1, self.i
         while toks[self.i] == "^":
             self.i += 1
             e = self.ints.get(toks[self.i])
@@ -395,6 +405,8 @@ class _Parser:
                 self.fail((f"an exponent of at most {MAX_EXPONENT}",))
             self.i += 1
         if k != 1:
+            if comb(len(base) + k - 1, k) > MAX_TERMS:
+                self.fail((f"a power of at most {MAX_TERMS} terms",), at)
             base = _ppow(base, k)
         if neg:
             for m in base:

@@ -1,10 +1,10 @@
 """Exact arithmetic kernel: rationals, vectors, matrices, rank-3 arrays,
 sparse polynomials, and invertible affine base maps."""
 
-from .scalar import Scalar, ZERO, ONE, as_scalar, format_scalar, parse_scalar
-from .linalg import Vec, Mat, mat_inverse
-from .tensor import Bilinear, bilinear_apply
-from .poly import Poly, BaseMap, poly_compose
+from .scalar import Scalar, ZERO, ONE, as_scalar, format_scalar
+from .linalg import Vec, Mat
+from .tensor import Bilinear
+from .poly import Poly, BaseMap
 
 __all__ = [
     "Scalar",
@@ -12,13 +12,9 @@ __all__ = [
     "ONE",
     "as_scalar",
     "format_scalar",
-    "parse_scalar",
     "Vec",
     "Mat",
-    "mat_inverse",
     "Bilinear",
-    "bilinear_apply",
     "Poly",
     "BaseMap",
-    "poly_compose",
 ]

@@ -9,6 +9,7 @@ entries).  Operations that need division -- ``inverse``, ``rref``, ``kernel``,
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Number
 from typing import Iterable, Sequence
 
 from ..errors import DimMismatch, SingularMatrix
@@ -28,7 +29,10 @@ class Vec:
 
     @staticmethod
     def of(*entries) -> "Vec":
-        return Vec(as_scalar(e) if isinstance(e, (int, str)) else e for e in entries)
+        """Numbers and ``"p/q"`` strings become exact scalars, so a float
+        raises :class:`TypeError`; ring elements such as polynomials pass as
+        they are."""
+        return Vec(as_scalar(e) if isinstance(e, (Number, str)) else e for e in entries)
 
     @staticmethod
     def zero(n: int) -> "Vec":
@@ -296,6 +300,7 @@ class Mat:
         return Vec(x)
 
     def inverse(self) -> "Mat":
+        """Exact inverse by Gauss-Jordan; raises :class:`SingularMatrix` when none exists."""
         if self.nrows != self.ncols:
             raise DimMismatch("inverse of non-square matrix")
         n = self.nrows
@@ -336,11 +341,3 @@ def _det_cofactor(rows):
             term = -term
         total = term if total is None else total + term
     return total
-
-
-def mat_inverse(m: Mat) -> Mat:
-    """Exact inverse of a square Fraction matrix (Gauss-Jordan).
-
-    Raises :class:`SingularMatrix` when no inverse exists.
-    """
-    return m.inverse()

@@ -287,11 +287,6 @@ class Poly:
         return f"Poly({self.nvars}, {self.terms!r})"
 
 
-def poly_compose(outer: Poly, inner: Sequence[Poly]) -> Poly:
-    """``outer`` with its i-th variable replaced by ``inner[i]``."""
-    return outer.subst(inner)
-
-
 class BaseMap:
     """An invertible affine change of base coordinates, ``x' = P x + q``.
 

@@ -46,8 +46,3 @@ def format_scalar(value: Scalar) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Inverse of :func:`format_scalar`."""
-    return as_scalar(text)

@@ -159,8 +159,3 @@ def _dot(seq, vec):
     for a, b in zip(seq, vec):
         total = total + a * b
     return total
-
-
-def bilinear_apply(gamma: Bilinear, u: Vec, w: Vec) -> Vec:
-    """Module-level alias for :meth:`Bilinear.apply`."""
-    return gamma.apply(u, w)

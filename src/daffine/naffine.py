@@ -28,9 +28,7 @@ from .double import (
     DoubleAffine,
     DoublePoint,
     contains as double_contains,
-    horizontal_dual,
     pairing,
-    vertical_dual,
 )
 from .errors import (
     ConstraintViolated,
@@ -530,41 +528,6 @@ def restrict_double(a: NAffine, i: int, j: int) -> DoubleRestriction:
 # Verification
 
 
-def _rand_frac(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-
-
-def _rand_vec(rng: random.Random, d: int) -> Vec:
-    return Vec(_rand_frac(rng) for _ in range(d))
-
-
-def _point_on(l: Vec, rng: random.Random) -> Vec:
-    """A random vector with l(v) = 1."""
-    i = next(k for k, x in enumerate(l) if x != 0)
-    free = Vec(_rand_frac(rng) if k != i else Fraction(0) for k in range(l.dim))
-    return free + Vec.unit(l.dim, i).scale((1 - l.dot(free)) / l[i])
-
-
-def random_member(a: NAffine, rng: random.Random) -> GradedPoint:
-    """A random point of the joint level set with small rational entries."""
-    blocks = {deg: _rand_vec(rng, d) for deg, d in a.space.components}
-    for i, l in enumerate(a.functionals):
-        blocks[unit_degree(a.space.n, i)] = _point_on(l, rng)
-    return a.space.point(blocks)
-
-
-def _dual_pair(rng: random.Random, dd: DoubleAffine) -> Tuple[DoublePoint, DoublePoint]:
-    """Random points of the two special duals sharing a core covector."""
-    cov = _point_on(dd.sigma, rng)
-    phi = DoublePoint(
-        vertical_dual(dd.space), _point_on(dd.l1, rng), cov, _rand_vec(rng, dd.space.n2)
-    )
-    psi = DoublePoint(
-        horizontal_dual(dd.space), cov, _point_on(dd.l2, rng), _rand_vec(rng, dd.space.n1)
-    )
-    return phi, psi
-
-
 def _mismatch(got: NAffine, want: NAffine) -> str:
     if got.space != want.space:
         return "underlying graded spaces differ"
@@ -582,6 +545,9 @@ def side_base_duality_report(a: NAffine, seed: int = 0, trials: int = 6) -> Repo
     the adjoint pairing laws (value independent of the core representative,
     both marked shifts adding one).
     """
+    # Imported here because randgen builds on this module.
+    from .randgen import rand_dual_pair, rand_graded_member, rand_vec
+
     records = []
     n = a.order
     sides = side_bases(bbl_n(a))
@@ -623,12 +589,12 @@ def side_base_duality_report(a: NAffine, seed: int = 0, trials: int = 6) -> Repo
                 r = restrict_double(a, i, j)
                 bad = None
                 for _ in range(trials):
-                    pt = random_member(a, rng)
+                    pt = rand_graded_member(rng, a)
                     dp = r.embed(pt)
                     if not double_contains(r.double, dp):
                         bad = "level-set point maps outside the restriction"
                         break
-                    delta = _rand_vec(rng, a.space.core_dim)
+                    delta = rand_vec(rng, a.space.core_dim)
                     moved = r.embed(core_translate(pt, delta))
                     if moved != dp.shift_core(r.place_core(delta)):
                         bad = "core translation does not match the block shift"
@@ -644,7 +610,7 @@ def side_base_duality_report(a: NAffine, seed: int = 0, trials: int = 6) -> Repo
 
                 bad = None
                 for _ in range(trials):
-                    phi, psi = _dual_pair(rng, r.double)
+                    phi, psi = rand_dual_pair(rng, r.double)
                     base = pairing(phi, psi, r.double)
                     if pairing(phi.shift_core(r.double.l2), psi, r.double) != base + 1:
                         bad = "vertical marked shift does not add one"

@@ -1,4 +1,4 @@
-"""Seeded random instance generators shared by the verification suites.
+"""Seeded random generators: instances, and the trial points every suite draws.
 
 Everything takes an explicit ``random.Random`` so reports stay bit-identical
 for a given seed.  Entries are small rationals to keep exact arithmetic fast.
@@ -11,10 +11,10 @@ from fractions import Fraction
 from typing import Tuple
 
 from .atlas import Atlas, TransitionData, compose, inverse
-from .double import DecomposedDouble, DoubleAffine
+from .double import DecomposedDouble, DoubleAffine, DoublePoint, horizontal_dual, vertical_dual
 from .exact import BaseMap, Bilinear, Mat, Poly, Vec
-from .naffine import GradedSpace, NAffine, unit_degree
-from .phase import TrivialBispecial
+from .naffine import GradedPoint, GradedSpace, NAffine, unit_degree
+from .phase import CotangentPoint, PhaseSet, ReducedCovector, TrivialBispecial
 
 
 def rand_frac(rng: random.Random) -> Fraction:
@@ -46,6 +46,16 @@ def rand_double_affine(rng: random.Random, n1: int, n2: int, n3: int, special: b
         nonzero_vec(rng, n2),
         nonzero_vec(rng, n3) if special else None,
     )
+
+
+def rand_dual_pair(rng: random.Random, dd: DoubleAffine) -> Tuple[DoublePoint, DoublePoint]:
+    """Random points of the vertical and horizontal duals sharing a core
+    covector, which is at level one on the marked vector when there is one."""
+    d = dd.space
+    cov = point_on(dd.sigma, rng) if dd.is_special else rand_vec(rng, d.n3)
+    phi = DoublePoint(vertical_dual(d), point_on(dd.l1, rng), cov, rand_vec(rng, d.n2))
+    psi = DoublePoint(horizontal_dual(d), cov, point_on(dd.l2, rng), rand_vec(rng, d.n1))
+    return phi, psi
 
 
 def rand_poly(rng: random.Random, m: int, deg: int = 1) -> Poly:
@@ -148,6 +158,33 @@ def rand_naffine(rng: random.Random, n: int, maxdim: int = 2, special: bool = Tr
                 w = v - Vec.unit(v.dim, i).scale(l.dot(v) / l[i])
                 sigma = None if w.is_zero() else w
     return NAffine(space, funcs, sigma)
+
+
+def rand_graded_member(rng: random.Random, a: NAffine) -> GradedPoint:
+    """A random point of the joint level set with small rational entries."""
+    blocks = {deg: rand_vec(rng, d) for deg, d in a.space.components}
+    for i, l in enumerate(a.functionals):
+        blocks[unit_degree(a.space.n, i)] = point_on(l, rng)
+    return a.space.point(blocks)
+
+
+def rand_cotangent(rng: random.Random, bundle: TrivialBispecial) -> CotangentPoint:
+    return CotangentPoint(
+        bundle,
+        rand_vec(rng, bundle.base_dim),
+        rand_vec(rng, bundle.hull_dim),
+        rand_vec(rng, bundle.base_dim),
+        rand_vec(rng, bundle.hull_dim),
+    )
+
+
+def rand_member(rng: random.Random, ps: PhaseSet) -> ReducedCovector:
+    """A random member of a phase set: a cotangent point with the set's
+    constraints imposed, then reduced."""
+    pt = rand_cotangent(rng, ps.bundle)
+    for slot, value in ps.constraints:
+        pt = pt.with_slot(slot, value)
+    return ps.reduce(pt)
 
 
 def rand_adapted(rng: random.Random, bundle: TrivialBispecial) -> Mat:

@@ -51,8 +51,6 @@ from .phase import (
     BBL,
     CONTACT,
     PHASEP,
-    CotangentPoint,
-    TrivialBispecial,
     affctg_double,
     afftg_and_duals,
     apply_adapted,
@@ -73,7 +71,15 @@ from .phase import (
     to_double_point,
     x_section,
 )
-from .randgen import point_on, rand_adapted, rand_frac, rand_vec
+from .randgen import (
+    point_on,
+    rand_adapted,
+    rand_cotangent,
+    rand_dual_pair,
+    rand_frac,
+    rand_member,
+    rand_vec,
+)
 from .report import FAIL, PASS, SKIP, CheckRecord, Report
 
 # The graded constructions enumerate all {0,1}^n degrees; the command line
@@ -272,9 +278,7 @@ def suite_duality_pairing(objs: Dict[str, object], seed: int, trials: int) -> Re
         indep_wit = shift_wit = None
         for i in range(trials):
             rng = _trial_rng(seed, i)
-            cov = point_on(a.sigma, rng) if a.is_special else rand_vec(rng, d.n3)
-            phi = DoublePoint(dv, point_on(a.l1, rng), cov, rand_vec(rng, d.n2))
-            psi = DoublePoint(dh, cov, point_on(a.l2, rng), rand_vec(rng, d.n1))
+            phi, psi = rand_dual_pair(rng, a)
             try:
                 base = pairing(phi, psi, a)
             except ConstraintViolated as exc:
@@ -353,23 +357,6 @@ def suite_hvh(objs: Dict[str, object], seed: int, trials: int) -> Report:
     return report
 
 
-def _rand_cotangent(rng: random.Random, bundle: TrivialBispecial) -> CotangentPoint:
-    return CotangentPoint(
-        bundle,
-        rand_vec(rng, bundle.base_dim),
-        rand_vec(rng, bundle.hull_dim),
-        rand_vec(rng, bundle.base_dim),
-        rand_vec(rng, bundle.hull_dim),
-    )
-
-
-def _rand_member(rng: random.Random, ps) -> object:
-    pt = _rand_cotangent(rng, ps.bundle)
-    for slot, value in ps.constraints:
-        pt = pt.with_slot(slot, value)
-    return ps.reduce(pt)
-
-
 def suite_phase_tower(objs: Dict[str, object], seed: int, trials: int) -> Report:
     blocks = _pick(objs, dsl.SpecialBundleBlock)
     if not blocks:
@@ -385,12 +372,12 @@ def suite_phase_tower(objs: Dict[str, object], seed: int, trials: int) -> Report
         bblset = phase_set(BBL, e)
         for i in range(trials):
             rng = _trial_rng(seed, i)
-            w = _rand_cotangent(rng, e)
+            w = rand_cotangent(rng, e)
             s, t = rand_frac(rng), rand_frac(rng)
             if lifts(chi(s, t, w)) != lifts(w):
                 inv_fail += 1
                 wit["inv"] = wit["inv"] or f"levels moved under the flows at s={s}, t={t}"
-            member = _rand_member(rng, phasep)
+            member = rand_member(rng, phasep)
             if phasep.reduce(chi(s, t, member.point)) != member:
                 orbit_fail += 1
                 wit["orbit"] = wit["orbit"] or f"projective class split at s={s}, t={t}"
@@ -400,7 +387,7 @@ def suite_phase_tower(objs: Dict[str, object], seed: int, trials: int) -> Report
             if lifts(img) != (0, 0) or iota_inverse(img) != (x, u, p, mu):
                 inj_fail += 1
                 wit["inj"] = wit["inj"] or "model injection failed to invert"
-            free = _rand_member(rng, affctg)
+            free = rand_member(rng, affctg)
             zeroed = free.point.with_slot(("y", e.alpha_index), Fraction(0)).with_slot(
                 ("pi", e.v_index), Fraction(0)
             )
@@ -408,11 +395,11 @@ def suite_phase_tower(objs: Dict[str, object], seed: int, trials: int) -> Report
             if iota(e, *iota_inverse(w0)) != w0:
                 onto_fail += 1
                 wit["onto"] = wit["onto"] or "zero-level point missed by the model injection"
-            c = _rand_member(rng, contact)
+            c = rand_member(rng, contact)
             if contact_tangent_pairing(c, x_section(e, c.point.x, c.point.y)) != 1:
                 pair_fail += 1
                 wit["pair"] = wit["pair"] or "distinguished section did not pair to one"
-            b = _rand_member(rng, bblset)
+            b = rand_member(rng, bblset)
             q = to_double_point(bblset, b)
             if from_double_point(bblset, q, b.point.x) != b:
                 round_fail += 1
@@ -449,7 +436,7 @@ def suite_tau_kappa(objs: Dict[str, object], seed: int, trials: int) -> Report:
         wit: Dict[str, Optional[str]] = {k: None for k in ("nat", "land", "flip", "desc", "invol")}
         for i in range(trials):
             rng = _trial_rng(seed, i)
-            c = _rand_member(rng, contact)
+            c = rand_member(rng, contact)
             mat = rand_adapted(rng, e)
             if apply_adapted(tau(c), mat) != tau(apply_adapted(c, mat)):
                 nat_fail += 1
@@ -469,7 +456,7 @@ def suite_tau_kappa(objs: Dict[str, object], seed: int, trials: int) -> Report:
             if phase_kappa(phasep.reduce(c)) != dual_phasep.reduce(k):
                 desc_fail += 1
                 wit["desc"] = wit["desc"] or "kappa did not descend to the projective sets"
-            w = _rand_cotangent(rng, e)
+            w = rand_cotangent(rng, e)
             if beta(beta(w)) != w:
                 invol_fail += 1
                 wit["invol"] = wit["invol"] or "beta failed to be an involution"
@@ -659,7 +646,7 @@ def _build_tbar(objs: Dict[str, object], seed: int) -> Report:
         witness = None
         for i in range(5):
             rng = _trial_rng(seed, i)
-            c = _rand_member(rng, phase_set(CONTACT, e))
+            c = rand_member(rng, phase_set(CONTACT, e))
             if contact_tangent_pairing(c, x_section(e, c.point.x, c.point.y)) != 1:
                 ok = False
                 witness = "distinguished section did not pair to one"

@@ -49,7 +49,6 @@ from daffine.phase import (
     BBL,
     CONTACT,
     PHASEP,
-    CotangentPoint,
     OneForm,
     TrivialBispecial,
     affctg_double,
@@ -70,8 +69,11 @@ from daffine.randgen import (
     nonzero_vec,
     point_on,
     rand_adapted,
+    rand_cotangent,
     rand_double_affine,
+    rand_dual_pair,
     rand_frac,
+    rand_member,
     rand_transition,
     rand_vec,
     three_chart_atlas,
@@ -88,19 +90,6 @@ def criterion(num: int, label: str):
         print(f"FAIL criterion {num:2d}: {label}")
         raise
     print(f"PASS criterion {num:2d}: {label}")
-
-
-def rand_member(rng, ps):
-    pt = CotangentPoint(
-        ps.bundle,
-        rand_vec(rng, ps.bundle.base_dim),
-        rand_vec(rng, ps.bundle.hull_dim),
-        rand_vec(rng, ps.bundle.base_dim),
-        rand_vec(rng, ps.bundle.hull_dim),
-    )
-    for s, v in ps.constraints:
-        pt = pt.with_slot(s, v)
-    return ps.reduce(pt)
 
 
 def test_criterion_01_interchange_law():
@@ -179,9 +168,7 @@ def test_criterion_05_duality_pairing():
             a = rand_double_affine(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3))
             d = a.space
             dv, dh = vertical_dual(d), horizontal_dual(d)
-            cov = point_on(a.sigma, rng)
-            phi = DoublePoint(dv, point_on(a.l1, rng), cov, rand_vec(rng, d.n2))
-            psi = DoublePoint(dh, cov, point_on(a.l2, rng), rand_vec(rng, d.n1))
+            phi, psi = rand_dual_pair(rng, a)
             values = {
                 vd_eval(phi, DoublePoint(d, phi.y, psi.z, Vec(F(t) for _ in range(d.n3))))
                 - hd_eval(psi, DoublePoint(d, phi.y, psi.z, Vec(F(t) for _ in range(d.n3))))
@@ -248,8 +235,7 @@ def test_criterion_08_phase_tower():
                 duald = vertical_dual(bigd)
                 h = e.hull_dim
                 for _ in range(10):
-                    w = CotangentPoint(e, rand_vec(rng, m), rand_vec(rng, h),
-                                       rand_vec(rng, m), rand_vec(rng, h))
+                    w = rand_cotangent(rng, e)
                     s, t = rand_frac(rng), rand_frac(rng)
                     assert lifts(chi(s, t, w)) == lifts(w)
                     member = rand_member(rng, build(BBL, e))

@@ -45,6 +45,7 @@ def test_missing_file_exits_two(capsys):
         "double A { n1 = " + "(" * 3000 + "1" + ")" * 3000 + "; }",
         "double A { n1 = " + "[" * 3000 + "1" + "]" * 3000 + "; }",
         "double A { n1 = x1^999999999; }",
+        "double A { n1 = (x1+x2+x3+x4+x5+x6)^100; }",
     ],
 )
 def test_malformed_literal_exits_two(source, tmp_path, capsys):
@@ -205,6 +206,16 @@ def test_build_writes_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     payload = json.loads(target.read_text())
     assert payload["passed"] is True
+
+
+def test_build_into_a_missing_directory_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code = cli.main(["build", "--op", "contact", fixture("bundle_tower.daff"), "-o", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert not target.parent.exists()
 
 
 def test_env_var_sets_the_default_format(monkeypatch, capsys):

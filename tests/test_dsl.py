@@ -13,6 +13,7 @@ from daffine.atlas import Atlas, first_difference
 from daffine.dsl import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERMS,
     Document,
     DoubleBlock,
     PolyValue,
@@ -188,6 +189,41 @@ def test_powers_up_to_the_bound_expand_exactly():
     x1, x2 = Poly.variable(2, 0), Poly.variable(2, 1)
     assert fm["n2"].to_poly(2) == (x1 + Poly.const(2, 1)) ** 3 * x2**4
     assert fm["n3"] == F(0)
+
+
+def _sum(t):
+    return "(" + " + ".join(f"x{i + 1}" for i in range(t)) + ")"
+
+
+@pytest.mark.parametrize(
+    "value, op, what",
+    [
+        (_sum(6) + "^100", "^", "power"),
+        (_sum(6) + "^15", "^", "power"),
+        (_sum(63) + "^2", "^", "power"),  # C(64, 2) = 2016 terms
+        (_sum(41) + " * " + _sum(50), "*", "product"),  # 2050 terms
+        ("2 * " + _sum(50) + " * " + _sum(41), "*", "product"),  # the second '*' is the one past the bound
+    ],
+)
+def test_expansion_above_the_term_bound_is_a_parse_error(value, op, what):
+    text = f"double A {{ n1 = {value}; }}"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.expected == (f"a {what} of at most {MAX_TERMS} terms",)
+    assert err.value.found == op
+    assert err.value.col == text.rindex(op) + 1
+
+
+def test_expansions_up_to_the_term_bound_are_exact():
+    def total(nvars, t):
+        return sum((Poly.variable(nvars, i) for i in range(1, t)), Poly.variable(nvars, 0))
+
+    fm = parse(
+        f"double A {{ n1 = {_sum(62)}^2; n2 = {_sum(40)} * {_sum(50)}; n3 = {_sum(2)}^{MAX_EXPONENT}; }}"
+    ).blocks[0].field_map()
+    assert fm["n1"].to_poly(62) == total(62, 62) ** 2  # C(63, 2) = 1953 terms
+    assert fm["n2"].to_poly(50) == total(50, 40) * total(50, 50)  # 2000 products
+    assert fm["n3"].to_poly(2) == total(2, 2) ** MAX_EXPONENT
 
 
 @pytest.mark.skipif(

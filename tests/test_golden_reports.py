@@ -7,7 +7,10 @@ must stay empty); ``exit_codes.json`` holds the exit code of each.  The
 cocycle and model/hull checks on the atlas fixtures are exact polynomial
 identities, so any change to the polynomial kernel or to how transitions are
 composed must leave those outputs unchanged; ``check`` on every fixture
-guards the parser, its error messages and elaboration.
+guards the parser, its error messages and elaboration.  The duality-pairing,
+phase-tower, tau-kappa and naffine suites and ``build --op tbar`` draw their
+trial points from :mod:`daffine.randgen`, so their goldens pin the sampled
+streams.
 """
 
 import json
@@ -24,8 +27,13 @@ COMMANDS = {
     "check": ["check"],
     "verify-cocycle": ["verify", "--suite", "cocycle"],
     "verify-model-hull": ["verify", "--suite", "model-hull"],
+    "verify-duality-pairing": ["verify", "--suite", "duality-pairing"],
+    "verify-phase-tower": ["verify", "--suite", "phase-tower"],
+    "verify-tau-kappa": ["verify", "--suite", "tau-kappa"],
+    "verify-naffine": ["verify", "--suite", "naffine"],
     "build-hull": ["build", "--op", "hull"],
     "build-model": ["build", "--op", "model"],
+    "build-tbar": ["build", "--op", "tbar"],
 }
 FORMATS = {"txt": "text", "json": "json"}
 

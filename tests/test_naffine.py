@@ -29,7 +29,6 @@ from daffine.naffine import (
     FiltrationMorphism,
     GradedSpace,
     NAffine,
-    _dual_pair,
     bbl_n,
     core_translate,
     cotangent_space,
@@ -37,13 +36,13 @@ from daffine.naffine import (
     filtration_check,
     momentum_degree,
     project,
-    random_member,
     restrict_double,
     side_base_duality_report,
     side_bases,
     unit_degree,
 )
 from daffine.phase import TrivialBispecial, bbl_double_affine
+from daffine.randgen import rand_dual_pair, rand_graded_member
 
 from test_atlas import rand_transition
 
@@ -302,7 +301,7 @@ def test_membership_and_levels():
     for n in (1, 2, 3):
         a = rand_naffine(rng, n)
         for _ in range(10):
-            pt = random_member(a, rng)
+            pt = rand_graded_member(rng, a)
             assert a.contains(pt)
             assert a.level_values(pt) == (1,) * n
         with pytest.raises(ConstraintViolated):
@@ -316,7 +315,7 @@ def test_core_translate_preserves_levels_in_higher_order():
     for n in (2, 3):
         a = rand_naffine(rng, n)
         for _ in range(8):
-            pt = random_member(a, rng)
+            pt = rand_graded_member(rng, a)
             delta = rand_vec(rng, a.space.core_dim)
             moved = core_translate(pt, delta)
             assert a.contains(moved)
@@ -327,7 +326,7 @@ def test_core_translate_preserves_levels_in_higher_order():
 def test_core_translate_order_one_needs_model_direction():
     rng = random.Random(6)
     a = NAffine(GradedSpace(1, {(1,): 3}), (Vec((1, 2, 3)),), Vec((2, -1, 0)))
-    pt = random_member(a, rng)
+    pt = rand_graded_member(rng, a)
     assert a.contains(core_translate(pt, Vec((2, -1, 0))))
     assert not a.contains(core_translate(pt, Vec((1, 0, 0))))
     with pytest.raises(NotSpecial):
@@ -337,7 +336,7 @@ def test_core_translate_order_one_needs_model_direction():
 @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
 def test_core_translations_compose(u1, u2, w1, w2):
     a = rand_naffine(random.Random(7), 2)
-    pt = random_member(a, random.Random(8))
+    pt = rand_graded_member(random.Random(8), a)
     d = a.space.core_dim
     u = Vec([u1, u2][:d] + [0] * max(0, d - 2))
     w = Vec([w1, w2][:d] + [0] * max(0, d - 2))
@@ -438,7 +437,7 @@ def test_restriction_membership_and_core_shift():
     for i, j in ((0, 1), (0, 2), (1, 2), (2, 0)):
         r = restrict_double(a, i, j)
         for _ in range(5):
-            pt = random_member(a, rng)
+            pt = rand_graded_member(rng, a)
             dp = r.embed(pt)
             assert double_contains(r.double, dp)
             delta = rand_vec(rng, a.space.core_dim)
@@ -488,7 +487,7 @@ def test_restricted_pairing_shift_laws():
         a = rand_naffine(rng, n)
         dd = restrict_double(a, *pair).double
         for _ in range(8):
-            phi, psi = _dual_pair(rng, dd)
+            phi, psi = rand_dual_pair(rng, dd)
             base = pairing(phi, psi, dd)
             assert pairing(phi.shift_core(dd.l2), psi, dd) == base + 1
             assert pairing(phi, psi.shift_core(-dd.l1), dd) == base + 1
