@@ -3,17 +3,111 @@
 Entries are usually :class:`fractions.Fraction`, but any commutative-ring
 element with ``+``, ``-`` and ``*`` works (the atlas layer stores polynomial
 entries).  Operations that need division -- ``inverse``, ``rref``, ``kernel``,
-``solve``, ``rank`` -- require Fraction entries.
+``solve``, ``rank`` -- require Fraction entries.  A number that is not
+rational, such as a float, is rejected with :class:`TypeError` when a
+``Vec`` or ``Mat`` is built, so no entry is ever rounded.
+
+Products, determinants and inverses take one of two branches:
+
+* When every entry is an ``int`` or a ``Fraction`` (the rational kernel),
+  ``dot``, ``@``, ``vec_mul``, ``det`` and ``inverse`` work on the integer
+  numerators and denominators and make one ``Fraction`` per result.  A dot
+  product sums ``p/q`` over a running common denominator; ``det`` and
+  ``inverse`` scale each row by the lcm of its denominators and run a
+  fraction-free (Bareiss) elimination, whose every division is exact by
+  Sylvester's identity.  All arithmetic is on Python integers, so the
+  result is the exact rational value, normalised once when the ``Fraction``
+  is made.
+* Any other entries, such as polynomials, take the generic loop of ring
+  operations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Number
+from math import lcm, prod
+from numbers import Number, Rational
 from typing import Iterable, Sequence
 
 from ..errors import DimMismatch, SingularMatrix
 from .scalar import Scalar, as_scalar
+
+_RATIONAL = frozenset((Fraction, int))
+
+
+def _is_rational(entries) -> bool:
+    """Is every entry exactly an ``int`` or a ``Fraction``?"""
+    return _RATIONAL.issuperset(map(type, entries))
+
+
+def _exact(entries: Iterable) -> tuple:
+    """The entries as a tuple; a number that is not rational raises TypeError."""
+    t = tuple(entries)
+    if not _is_rational(t):
+        for e in t:
+            if isinstance(e, Number) and not isinstance(e, Rational):
+                raise TypeError(f"cannot interpret {e!r} as an exact scalar")
+    return t
+
+
+def _dot(xs, ys):
+    """The sum of ``x * y`` over the pairs; ``Fraction(0)`` when there are none."""
+    if _is_rational(xs) and _is_rational(ys):
+        num, den = 0, 1
+        for a, b in zip(xs, ys):
+            p = a.numerator * b.numerator
+            if p:
+                q = a.denominator * b.denominator
+                if q == den:
+                    num += p
+                else:
+                    num, den = num * q + p * den, den * q
+        return Fraction(num, den)
+    total = Fraction(0)
+    for a, b in zip(xs, ys):
+        total = total + a * b
+    return total
+
+
+def _cleared(rows):
+    """Each rational row times the lcm of its denominators, as a list of
+    integers, and the list of those multipliers."""
+    ints, scales = [], []
+    for r in rows:
+        m = lcm(*(e.denominator for e in r))
+        ints.append([e.numerator * (m // e.denominator) for e in r])
+        scales.append(m)
+    return ints, scales
+
+
+def _bareiss(a, n: int):
+    """Fraction-free Gauss-Jordan elimination on the first ``n`` columns of
+    the integer rows ``a``, in place, swapping rows to find nonzero pivots.
+
+    Returns ``(sign, d)``, where ``d`` is the last pivot and ``sign`` the
+    parity of the swaps: ``sign * d`` is the determinant of the leading
+    n x n block, and ``d`` is 0 when that block is singular.  Otherwise the
+    block has become ``d`` times the identity, and each later column ``c``
+    (as it was before the swaps) has become ``d * block^-1 @ c``.  Every
+    division is exact (Sylvester's identity).
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return sign, 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        row = a[k]
+        p = row[k]
+        for ai in a:
+            if ai is not row:
+                f = ai[k]
+                for j in range(k + 1, len(ai)):
+                    ai[j] = (p * ai[j] - f * row[j]) // prev
+        prev = p
+    return sign, prev
 
 
 class Vec:
@@ -22,7 +116,7 @@ class Vec:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "entries", _exact(entries))
 
     def __setattr__(self, *args):  # pragma: no cover - defensive
         raise AttributeError("Vec is immutable")
@@ -82,10 +176,7 @@ class Vec:
     def dot(self, other: "Vec"):
         """Exact inner product; empty vectors pair to 0."""
         self._check(other)
-        total = Fraction(0)
-        for a, b in zip(self.entries, other.entries):
-            total = total + a * b
-        return total
+        return _dot(self.entries, other.entries)
 
     def is_zero(self) -> bool:
         return all(not e for e in self.entries)
@@ -107,7 +198,7 @@ class Mat:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(tuple(r) for r in rows)
+        rs = tuple(_exact(r) for r in rows)
         if rs and any(len(r) != len(rs[0]) for r in rs):
             raise DimMismatch("ragged rows")
         object.__setattr__(self, "rows", rs)
@@ -177,12 +268,13 @@ class Mat:
         if isinstance(other, Vec):
             if other.dim != self.ncols:
                 raise DimMismatch(f"matvec {self.shape} @ {other.dim}")
-            return Vec(Vec(r).dot(other) for r in self.rows)
+            v = other.entries
+            return Vec(_dot(r, v) for r in self.rows)
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise DimMismatch(f"matmul {self.shape} @ {other.shape}")
-            cols = [other.col(j) for j in range(other.ncols)]
-            return Mat(tuple(Vec(r).dot(c) for c in cols) for r in self.rows)
+            cols = tuple(zip(*other.rows))
+            return Mat(tuple(_dot(r, c) for c in cols) for r in self.rows)
         return NotImplemented
 
     def transpose(self) -> "Mat":
@@ -192,7 +284,7 @@ class Mat:
         """Row-vector times matrix: v^T M, returned as a Vec."""
         if v.dim != self.nrows:
             raise DimMismatch(f"vecmat {v.dim} @ {self.shape}")
-        return Vec(v.dot(self.col(j)) for j in range(self.ncols))
+        return Vec(_dot(v.entries, c) for c in zip(*self.rows))
 
     # ---- ring-generic determinant (cofactor expansion, small sizes) ----
 
@@ -207,24 +299,10 @@ class Mat:
         return _det_cofactor(self.rows)
 
     def _det_gauss(self) -> Scalar:
-        n = self.nrows
-        a = [list(r) for r in self.rows]
-        det = Fraction(1)
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    f = a[r][col] * inv
-                    for c in range(col, n):
-                        a[r][c] -= f * a[col][c]
-        return det
+        """Bareiss elimination on the rows cleared of denominators."""
+        a, scales = _cleared(self.rows)
+        sign, d = _bareiss(a, len(a))
+        return Fraction(sign * d, prod(scales))
 
     def adjugate(self) -> "Mat":
         """Adjugate via cofactors; ring-generic (used for polynomial matrices)."""
@@ -300,15 +378,26 @@ class Mat:
         return Vec(x)
 
     def inverse(self) -> "Mat":
-        """Exact inverse by Gauss-Jordan; raises :class:`SingularMatrix` when none exists."""
+        """Exact inverse; raises :class:`SingularMatrix` when none exists.
+
+        Fraction-free Gauss-Jordan on ``[B | I]``, where row i of ``B`` is row
+        i of ``self`` times its denominators' lcm ``s_i``, ends at
+        ``[d I | d B^-1]``; entry (i, j) of the inverse is
+        ``(d B^-1)[i][j] * s_j / d``.
+        """
         if self.nrows != self.ncols:
             raise DimMismatch("inverse of non-square matrix")
-        n = self.nrows
-        aug = Mat([tuple(r) + tuple(Mat.identity(n).rows[i]) for i, r in enumerate(self.rows)])
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
+        rows = self.rows
+        if not all(map(_is_rational, rows)):
+            rows = [tuple(map(as_scalar, r)) for r in rows]
+        a, scales = _cleared(rows)
+        n = len(a)
+        for i, r in enumerate(a):
+            r.extend(int(i == j) for j in range(n))
+        d = _bareiss(a, n)[1]
+        if not d:
             raise SingularMatrix("matrix is singular")
-        return Mat(tuple(red.rows[i][n:]) for i in range(n))
+        return Mat(tuple(Fraction(r[n + j] * scales[j], d) for j in range(n)) for r in a)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and bool(self.det())

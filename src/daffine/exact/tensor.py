@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from ..errors import DimMismatch
-from .linalg import Mat, Vec
+from .linalg import Mat, Vec, _dot
 
 
 class Bilinear:
@@ -93,7 +93,7 @@ class Bilinear:
             raise DimMismatch("left contraction dimension")
         return Mat(
             [
-                [_dot(tuple(self.entries[t][i][b] for i in range(r)), u) for b in range(s)]
+                [_dot(tuple(self.entries[t][i][b] for i in range(r)), u.entries) for b in range(s)]
                 for t in range(k)
             ]
         )
@@ -103,7 +103,7 @@ class Bilinear:
         k, r, s = self.shape
         if w.dim != s:
             raise DimMismatch("right contraction dimension")
-        return Mat([[_dot(self.entries[t][i], w) for i in range(r)] for t in range(k)])
+        return Mat([[_dot(self.entries[t][i], w.entries) for i in range(r)] for t in range(k)])
 
     def left_mat(self, A: Mat) -> "Bilinear":
         """Precompose the first slot with A: result[t][i'][b] = sum_i entries[t][i][b] A[i,i']."""
@@ -113,7 +113,7 @@ class Bilinear:
         return Bilinear(
             [
                 [
-                    [_dot(tuple(self.entries[t][i][b] for i in range(r)), A.col(ip)) for b in range(s)]
+                    [_dot(tuple(self.entries[t][i][b] for i in range(r)), A.col(ip).entries) for b in range(s)]
                     for ip in range(A.ncols)
                 ]
                 for t in range(k)
@@ -127,7 +127,7 @@ class Bilinear:
             raise DimMismatch("right matrix contraction dimension")
         return Bilinear(
             [
-                [[_dot(self.entries[t][i], B.col(bp)) for bp in range(B.ncols)] for i in range(r)]
+                [[_dot(self.entries[t][i], B.col(bp).entries) for bp in range(B.ncols)] for i in range(r)]
                 for t in range(k)
             ]
         )
@@ -141,7 +141,7 @@ class Bilinear:
             [
                 [
                     [
-                        _dot(tuple(self.entries[t][i][b] for t in range(k)), S.row(tp))
+                        _dot(tuple(self.entries[t][i][b] for t in range(k)), S.rows[tp])
                         for b in range(s)
                     ]
                     for i in range(r)
@@ -152,10 +152,3 @@ class Bilinear:
 
     def __repr__(self) -> str:
         return f"Bilinear(shape={self.shape})"
-
-
-def _dot(seq, vec):
-    total = Fraction(0)
-    for a, b in zip(seq, vec):
-        total = total + a * b
-    return total

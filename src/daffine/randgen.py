@@ -191,20 +191,13 @@ def rand_adapted(rng: random.Random, bundle: TrivialBispecial) -> Mat:
     """A random basis change preserving the marked vector and functional."""
     h = bundle.hull_dim
     va, al = bundle.v_index, bundle.alpha_index
-    m = Mat.identity(h)
+    m = [list(r) for r in Mat.identity(h).rows]
     for _ in range(5):
         i = rng.randrange(h)
         j = rng.randrange(h)
         if i == j or i == va or j == al:
             continue
-        bump = Mat(
-            tuple(
-                tuple(
-                    (1 if r == c else 0) + (rand_frac(rng) if (r, c) == (i, j) else 0)
-                    for c in range(h)
-                )
-                for r in range(h)
-            )
-        )
-        m = m @ bump
-    return m
+        c = rand_frac(rng)
+        for r in m:  # m @ (identity + c at (i, j)): column j gains c * column i
+            r[j] += c * r[i]
+    return Mat(m)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from daffine.double import DecomposedDouble, DoubleAffine
 from daffine.errors import DimMismatch, MissingSubstitute, SingularMatrix
 from daffine.exact import (
     BaseMap,
@@ -117,6 +118,169 @@ def test_vec_dim_mismatch():
 def test_vec_addition_cancels(a, b):
     va, vb = Vec(a), Vec(b)
     assert (va + vb) - vb == va
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Vec([0.5]),
+        lambda: Vec([F(1), 2.0]),
+        lambda: Mat([[0.5]]),
+        lambda: Mat([[1, 2], [F(1, 3), 1e-3]]),
+        lambda: DoubleAffine(DecomposedDouble(1, 1, 1), Vec([0.5]), Vec([1]), None),
+    ],
+)
+def test_constructors_reject_floats(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_constructors_keep_exact_entries():
+    p = Poly.variable(2, 0)
+    assert Vec([1, F(1, 2), p]).entries == (1, F(1, 2), p)
+    assert Mat([[1, F(1, 2)], [p, 0]]).rows == ((1, F(1, 2)), (p, 0))
+
+
+# ---------------------------------------------------------------- rational kernel
+# dot, @, vec_mul, det and inverse on int/Fraction entries against naive
+# Fraction loops; other entries (polynomials) against the generic ring loop.
+
+scalars = st.one_of(st.integers(-20, 20), rationals, st.just(0), st.just(F(0)))
+
+
+def _naive_dot(xs, ys):
+    total = F(0)
+    for a, b in zip(xs, ys):
+        total += F(a) * F(b)
+    return total
+
+
+def _naive_inverse(rows):
+    """Gauss-Jordan on Fractions; None when the matrix is singular."""
+    n = len(rows)
+    a = [[F(e) for e in r] + [F(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return None
+        a[k], a[pivot] = a[pivot], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k:
+                a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+    return [r[n:] for r in a]
+
+
+def _all_fractions(rows):
+    return all(type(e) is F for r in rows for e in r)
+
+
+@st.composite
+def square(draw, entries=scalars, max_n=5):
+    """A square matrix of size 0..max_n; some copy a combination of two rows
+    into a third, so singular matrices are common."""
+    n = draw(st.integers(0, max_n))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        c = draw(rationals)
+        rows[draw(st.integers(0, n - 1))] = [F(a) + c * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(*[st.lists(scalars, min_size=n, max_size=n)] * 2)))
+def test_dot_matches_naive_fractions(pair):
+    xs, ys = pair
+    got = Vec(xs).dot(Vec(ys))
+    assert got == _naive_dot(xs, ys)
+    assert type(got) is F
+
+
+@given(square(), st.integers(0, 5), st.data())
+def test_products_match_naive_fractions(rows, m, data):
+    n = len(rows)
+    m = m if n else 0  # a matrix with no rows has no columns either
+    other = data.draw(st.lists(st.lists(scalars, min_size=m, max_size=m), min_size=n, max_size=n))
+    v = data.draw(st.lists(scalars, min_size=n, max_size=n))
+    a = Mat(rows)
+    cols = [[r[j] for r in other] for j in range(m)]
+    prod = a @ Mat(other)
+    assert prod.rows == tuple(tuple(_naive_dot(r, c) for c in cols) for r in rows)
+    assert _all_fractions(prod.rows)
+    mv = a @ Vec(v)
+    assert mv.entries == tuple(_naive_dot(r, v) for r in rows)
+    vm = Mat(other).vec_mul(Vec(v))
+    assert vm.entries == tuple(_naive_dot(v, c) for c in cols)
+    assert _all_fractions([mv.entries, vm.entries])
+
+
+@given(square(entries=rationals, max_n=6))
+def test_det_and_inverse_match_naive_fractions(rows):
+    a = Mat(rows)
+    det = a.det()
+    assert det == _det_cofactor_oracle(a)
+    assert type(det) is F
+    expected = _naive_inverse(rows)
+    if expected is None:
+        assert det == 0
+        with pytest.raises(SingularMatrix):
+            a.inverse()
+    else:
+        inv = a.inverse()
+        assert [list(r) for r in inv.rows] == expected
+        assert _all_fractions(inv.rows)
+
+
+@given(square())
+def test_det_and_inverse_accept_int_entries(rows):
+    a = Mat(rows)
+    assert a.det() == _det_cofactor_oracle(Mat([[F(e) for e in r] for r in rows]))
+    expected = _naive_inverse(rows)
+    if expected is None:
+        with pytest.raises(SingularMatrix):
+            a.inverse()
+    else:
+        assert [list(r) for r in a.inverse().rows] == expected
+
+
+def test_kernel_edge_cases():
+    empty = Mat([])
+    assert Vec([]).dot(Vec([])) == 0 and type(Vec([]).dot(Vec([]))) is F
+    assert empty.det() == 1 and empty.inverse() == empty
+    assert empty @ Vec([]) == Vec([]) and empty @ empty == empty
+    assert Mat([[F(3, 4)]]).inverse() == Mat([[F(4, 3)]])
+    assert Mat([[F(-2, 3)]]).det() == F(-2, 3)
+    for singular in ([[F(0)]], [[F(0), F(0)], [F(0), F(0)]], [[F(1, 2), F(1)], [F(-1), F(-2)]]):
+        assert Mat(singular).det() == 0
+        with pytest.raises(SingularMatrix):
+            Mat(singular).inverse()
+    assert Mat([[F(0), F(1)], [F(1), F(0)]]).det() == -1
+
+
+def _generic_dot(xs, ys):
+    total = F(0)
+    for a, b in zip(xs, ys):
+        total = total + a * b
+    return total
+
+
+polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), rationals, max_size=3).map(
+    lambda t: Poly(2, t)
+)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(st.one_of(rationals, polys), min_size=n, max_size=n), min_size=n + 1, max_size=n + 1)
+    )
+)
+def test_polynomial_entries_take_the_generic_loop(rows):
+    *rows, v = rows
+    a = Mat(rows)
+    cols = list(zip(*rows))
+    assert Vec(rows[0]).dot(Vec(v)) == _generic_dot(rows[0], v)
+    assert (a @ Vec(v)).entries == tuple(_generic_dot(r, v) for r in rows)
+    assert (a @ a).rows == tuple(tuple(_generic_dot(r, c) for c in cols) for r in rows)
+    assert a.vec_mul(Vec(v)).entries == tuple(_generic_dot(v, c) for c in cols)
 
 
 # ---------------------------------------------------------------- bilinear

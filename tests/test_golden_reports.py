@@ -10,7 +10,9 @@ composed must leave those outputs unchanged; ``check`` on every fixture
 guards the parser, its error messages and elaboration.  The duality-pairing,
 phase-tower, tau-kappa and naffine suites and ``build --op tbar`` draw their
 trial points from :mod:`daffine.randgen`, so their goldens pin the sampled
-streams.
+streams.  The interchange and HVH suites and ``build --op classify`` run on
+``Vec``/``Mat`` arithmetic (products, determinants, inverses, ``rref``), so
+their goldens guard the rational kernel in :mod:`daffine.exact.linalg`.
 """
 
 import json
@@ -31,9 +33,12 @@ COMMANDS = {
     "verify-phase-tower": ["verify", "--suite", "phase-tower"],
     "verify-tau-kappa": ["verify", "--suite", "tau-kappa"],
     "verify-naffine": ["verify", "--suite", "naffine"],
+    "verify-interchange": ["verify", "--suite", "interchange"],
+    "verify-hvh": ["verify", "--suite", "hvh"],
     "build-hull": ["build", "--op", "hull"],
     "build-model": ["build", "--op", "model"],
     "build-tbar": ["build", "--op", "tbar"],
+    "build-classify": ["build", "--op", "classify"],
 }
 FORMATS = {"txt": "text", "json": "json"}
 

@@ -1,0 +1,52 @@
+"""Differential test of the rational matrix kernel against sympy.
+
+sympy is an oracle for the tests only; ``daffine`` itself depends on nothing.
+``Mat.det`` and ``Mat.inverse`` on Fraction matrices, singular ones included,
+must equal ``sympy.Matrix.det()`` and ``.inv()`` exactly.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from daffine.errors import SingularMatrix
+from daffine.exact import Mat
+
+sympy = pytest.importorskip("sympy")
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def square(draw):
+    """A Fraction matrix of size 1..5; about half copy a combination of two
+    rows into another, so they are singular."""
+    n = draw(st.integers(1, 5))
+    rows = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        c = draw(rationals)
+        rows[draw(st.integers(0, n - 1))] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in r] for r in rows])
+
+
+def from_sympy(e):
+    return F(int(e.p), int(e.q))
+
+
+@settings(deadline=None, max_examples=60)
+@given(square())
+def test_det_and_inverse_match_sympy(rows):
+    a, s = Mat(rows), to_sympy(rows)
+    det = s.det()
+    assert a.det() == from_sympy(det)
+    if det == 0:
+        with pytest.raises(SingularMatrix):
+            a.inverse()
+    else:
+        inv = s.inv()
+        assert a.inverse().rows == tuple(tuple(from_sympy(inv[i, j]) for j in range(s.cols)) for i in range(s.rows))
