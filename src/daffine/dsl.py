@@ -70,7 +70,8 @@ class PolyValue:
                     )
                 dense[v] = e
             exps[tuple(dense)] = c
-        return Poly(nvars, exps)
+        # ``_canon`` made the monomials distinct and the coefficients nonzero.
+        return Poly._from_fractions(nvars, exps)
 
     def __str__(self) -> str:
         parts = []

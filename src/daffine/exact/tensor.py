@@ -2,7 +2,9 @@
 
 A ``Bilinear`` with shape ``(k, r, s)`` sends a pair (u, w) with dims (r, s)
 to a k-vector; entry ``[t][i][b]`` multiplies ``u[i] * w[b]``.  Entries may be
-Fractions or polynomials.
+Fractions or polynomials; a number that is not rational, such as a float, is
+rejected with :class:`TypeError` when the block is built, as in ``Vec`` and
+``Mat``.
 """
 
 from __future__ import annotations
@@ -11,14 +13,14 @@ from fractions import Fraction
 from typing import Iterable
 
 from ..errors import DimMismatch
-from .linalg import Mat, Vec, _dot
+from .linalg import Mat, Vec, _dot, _exact
 
 
 class Bilinear:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Iterable[Iterable]]):
-        es = tuple(tuple(tuple(row) for row in layer) for layer in entries)
+        es = tuple(tuple(_exact(row) for row in layer) for layer in entries)
         if es:
             r = len(es[0])
             if any(len(layer) != r for layer in es):

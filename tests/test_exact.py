@@ -128,6 +128,8 @@ def test_vec_addition_cancels(a, b):
         lambda: Mat([[0.5]]),
         lambda: Mat([[1, 2], [F(1, 3), 1e-3]]),
         lambda: DoubleAffine(DecomposedDouble(1, 1, 1), Vec([0.5]), Vec([1]), None),
+        lambda: Bilinear([[[0.5]]]),
+        lambda: Bilinear([[[F(1), 2], [3, 1e-3]]]),
     ],
 )
 def test_constructors_reject_floats(build):
@@ -139,6 +141,7 @@ def test_constructors_keep_exact_entries():
     p = Poly.variable(2, 0)
     assert Vec([1, F(1, 2), p]).entries == (1, F(1, 2), p)
     assert Mat([[1, F(1, 2)], [p, 0]]).rows == ((1, F(1, 2)), (p, 0))
+    assert Bilinear([[[1, F(1, 2)], [p, 0]]]).entries == (((1, F(1, 2)), (p, 0)),)
 
 
 # ---------------------------------------------------------------- rational kernel
