@@ -16,12 +16,21 @@ every triangle as a polynomial identity.  The induced transitions of the
 fiberwise model (drop all affine parts) and of the fiberwise hull (one added
 homogenizing coordinate per side, core unchanged) are computed symbolically,
 and their compatibility with composition is itself a checkable report.
+
+Each transition and each chart-path composite is built once.  An atlas
+computes the composite along a path a -> b -> c on first request
+(Atlas.composite) and keeps it for its lifetime, so the cocycle checks and
+the functoriality checks of the induced model and hull atlases share their
+composites; a composite that raises is not kept and raises again at every
+use.  A transition whose blocks already hold polynomials on its base is kept
+as given, block objects included, instead of being lifted again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .double import DecomposedDouble, DoubleMorphism
@@ -58,6 +67,36 @@ def _bmap(fn: Callable, b: Bilinear) -> Bilinear:
     )
 
 
+# every block of a transition in report order, with its type and entrywise map
+_BLOCKS = (
+    ("alpha0", Vec, _vmap),
+    ("alpha", Mat, _mmap),
+    ("beta0", Vec, _vmap),
+    ("beta", Mat, _mmap),
+    ("gamma00", Vec, _vmap),
+    ("gamma_y", Mat, _mmap),
+    ("gamma_z", Mat, _mmap),
+    ("gamma_yz", Bilinear, _bmap),
+    ("sigma", Mat, _mmap),
+)
+_BLOCK_ORDER = tuple(name for name, _, _ in _BLOCKS)
+
+
+def _entries(block) -> Iterable:
+    if isinstance(block, Vec):
+        return block.entries
+    if isinstance(block, Mat):
+        return chain.from_iterable(block.rows)
+    return chain.from_iterable(chain.from_iterable(block.entries))
+
+
+def _is_lifted(block, kind: type, m: int) -> bool:
+    """Is the block of the right type with every entry a polynomial in m variables?"""
+    return isinstance(block, kind) and all(
+        isinstance(e, Poly) and e.nvars == m for e in _entries(block)
+    )
+
+
 @dataclass(frozen=True)
 class TransitionData:
     """One chart-to-chart transition with polynomial coefficients."""
@@ -77,15 +116,10 @@ class TransitionData:
     def __post_init__(self):
         m = self.base_map.dim
         lift = lambda v: _lift(v, m)
-        object.__setattr__(self, "alpha0", _vmap(lift, self.alpha0))
-        object.__setattr__(self, "alpha", _mmap(lift, self.alpha))
-        object.__setattr__(self, "beta0", _vmap(lift, self.beta0))
-        object.__setattr__(self, "beta", _mmap(lift, self.beta))
-        object.__setattr__(self, "gamma00", _vmap(lift, self.gamma00))
-        object.__setattr__(self, "gamma_y", _mmap(lift, self.gamma_y))
-        object.__setattr__(self, "gamma_z", _mmap(lift, self.gamma_z))
-        object.__setattr__(self, "gamma_yz", _bmap(lift, self.gamma_yz))
-        object.__setattr__(self, "sigma", _mmap(lift, self.sigma))
+        for name, kind, fmap in _BLOCKS:
+            block = getattr(self, name)
+            if not _is_lifted(block, kind, m):
+                object.__setattr__(self, name, fmap(lift, block))
         object.__setattr__(self, "samples", tuple(self.samples))
 
         n1, n2, n3 = self.fiber_dims
@@ -401,19 +435,6 @@ def restrict_hull(th: TransitionData, s_val, t_val) -> TransitionData:
 # comparison and atlases
 # ---------------------------------------------------------------------------
 
-_BLOCK_ORDER = (
-    "alpha0",
-    "alpha",
-    "beta0",
-    "beta",
-    "gamma00",
-    "gamma_y",
-    "gamma_z",
-    "gamma_yz",
-    "sigma",
-)
-
-
 def first_difference(t1: TransitionData, t2: TransitionData) -> Optional[str]:
     """The first differing coefficient between two transitions, or None."""
     if t1.base_map != t2.base_map:
@@ -453,6 +474,9 @@ class Atlas:
     charts: Tuple[str, ...]
     edges: Tuple[Tuple[str, str, TransitionData], ...]
     _index: Dict[Tuple[str, str], TransitionData] = field(init=False, repr=False, compare=False)
+    _composites: Dict[Tuple[str, str, str], TransitionData] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(set(self.charts)) != len(self.charts):
@@ -467,9 +491,25 @@ class Atlas:
             if t.base_dim != self.base_dim or t.fiber_dims != tuple(self.fiber_dims):
                 raise DimMismatch(f"edge ({a}, {b}) has inconsistent dimensions")
         object.__setattr__(self, "_index", {(a, b): t for a, b, t in self.edges})
+        object.__setattr__(self, "_composites", {})
 
     def transition(self, a: str, b: str) -> Optional[TransitionData]:
         return self._index.get((a, b))
+
+    def composite(self, a: str, b: str, c: str) -> TransitionData:
+        """The transition along the path a -> b -> c, composed on first request.
+
+        The composite is kept for the lifetime of the atlas.  If composing
+        raises, nothing is kept, so the error surfaces at every request.
+        """
+        key = (a, b, c)
+        t = self._composites.get(key)
+        if t is None:
+            t_ab, t_bc = self._index.get((a, b)), self._index.get((b, c))
+            if t_ab is None or t_bc is None:
+                raise DaffineError(f"no path {a}->{b}->{c} in the atlas")
+            t = self._composites[key] = compose(t_ab, t_bc)
+        return t
 
     def mapped(self, fn: Callable[[TransitionData], TransitionData]) -> "Atlas":
         new_edges = tuple((a, b, fn(t)) for a, b, t in self.edges)
@@ -487,30 +527,27 @@ def cocycle_check(atlas: Atlas) -> Report:
             records.append(
                 CheckRecord(f"self-loop {a}", PASS if diff is None else FAIL, diff)
             )
-    for a, b, t_ab in atlas.edges:
-        if a >= b:
-            continue
-        t_ba = atlas.transition(b, a)
-        if t_ba is None:
+    for a, b, _ in atlas.edges:
+        if a >= b or atlas.transition(b, a) is None:
             continue
         try:
             diff = first_difference(
-                compose(t_ab, t_ba), identity_transition(atlas.base_dim, n1, n2, n3)
+                atlas.composite(a, b, a), identity_transition(atlas.base_dim, n1, n2, n3)
             )
         except DaffineError as exc:
             diff = str(exc)
         records.append(
             CheckRecord(f"inverse pair {a}<->{b}", PASS if diff is None else FAIL, diff)
         )
-    for a, b, t_ab in atlas.edges:
-        for b2, c, t_bc in atlas.edges:
+    for a, b, _ in atlas.edges:
+        for b2, c, _ in atlas.edges:
             if b2 != b or a == b or b == c or a == c:
                 continue
             t_ac = atlas.transition(a, c)
             if t_ac is None:
                 continue
             try:
-                diff = first_difference(compose(t_ab, t_bc), t_ac)
+                diff = first_difference(atlas.composite(a, b, c), t_ac)
             except DaffineError as exc:
                 diff = str(exc)
             records.append(
@@ -532,12 +569,12 @@ def check_atlas_model_hull(atlas: Atlas) -> Report:
 
     extra = []
     for a, b, t in atlas.edges:
-        th = induce_hull(t)
+        th = hull_atlas.transition(a, b)
         diff = first_difference(restrict_hull(th, 1, 1), t)
         extra.append(
             CheckRecord(f"hull at (1,1) {a}->{b}", PASS if diff is None else FAIL, diff)
         )
-        diff = first_difference(restrict_hull(th, 0, 0), induce_model(t))
+        diff = first_difference(restrict_hull(th, 0, 0), model_atlas.transition(a, b))
         extra.append(
             CheckRecord(f"hull at (0,0) {a}->{b}", PASS if diff is None else FAIL, diff)
         )
@@ -547,24 +584,18 @@ def check_atlas_model_hull(atlas: Atlas) -> Report:
                 f"model order-independence {a}->{b}", PASS if diff is None else FAIL, diff
             )
         )
-    for a, b, t_ab in atlas.edges:
-        for b2, c, t_bc in atlas.edges:
+    for a, b, _ in atlas.edges:
+        for b2, c, _ in atlas.edges:
             if b2 != b or a == b or b == c:
                 continue
-            t_ac = compose(t_ab, t_bc)
-            diff = first_difference(
-                induce_model(t_ac),
-                compose(induce_model(t_ab), induce_model(t_bc)),
-            )
+            t_ac = atlas.composite(a, b, c)
+            diff = first_difference(induce_model(t_ac), model_atlas.composite(a, b, c))
             extra.append(
                 CheckRecord(
                     f"model functorial {a}->{b}->{c}", PASS if diff is None else FAIL, diff
                 )
             )
-            diff = first_difference(
-                induce_hull(t_ac),
-                compose(induce_hull(t_ab), induce_hull(t_bc)),
-            )
+            diff = first_difference(induce_hull(t_ac), hull_atlas.composite(a, b, c))
             extra.append(
                 CheckRecord(
                     f"hull functorial {a}->{b}->{c}", PASS if diff is None else FAIL, diff

@@ -4,8 +4,15 @@ Entries are usually :class:`fractions.Fraction`, but any commutative-ring
 element with ``+``, ``-`` and ``*`` works (the atlas layer stores polynomial
 entries).  Operations that need division -- ``inverse``, ``rref``, ``kernel``,
 ``solve``, ``rank`` -- require Fraction entries.  A number that is not
-rational, such as a float, is rejected with :class:`TypeError` when a
-``Vec`` or ``Mat`` is built, so no entry is ever rounded.
+rational, such as a float, a complex or a ``Decimal``, is rejected with
+:class:`TypeError` when a ``Vec``, ``Mat`` or ``Bilinear`` is built, so no
+entry is ever rounded.
+
+That exactness check depends only on an entry's type: a type is rejected
+when it is a ``numbers.Number`` but not a ``numbers.Rational``.  The types
+that have passed are remembered, starting from ``int`` and ``Fraction``, so
+an entry of a known type, such as a polynomial after the first one, costs a
+set lookup instead of two abstract-base-class checks.
 
 Products, determinants and inverses take one of two branches:
 
@@ -19,7 +26,8 @@ Products, determinants and inverses take one of two branches:
   result is the exact rational value, normalised once when the ``Fraction``
   is made.
 * Any other entries, such as polynomials, take the generic loop of ring
-  operations.
+  operations.  A dot product starts from its first product, so it adds no
+  ``Fraction(0)`` to a polynomial sum.
 """
 
 from __future__ import annotations
@@ -27,12 +35,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 from numbers import Number, Rational
+from operator import mul
 from typing import Iterable, Sequence
 
 from ..errors import DimMismatch, SingularMatrix
 from .scalar import Scalar, as_scalar
 
 _RATIONAL = frozenset((Fraction, int))
+# entry types that have passed the exactness check; it depends only on the type
+_EXACT_TYPES = set(_RATIONAL)
 
 
 def _is_rational(entries) -> bool:
@@ -43,10 +54,12 @@ def _is_rational(entries) -> bool:
 def _exact(entries: Iterable) -> tuple:
     """The entries as a tuple; a number that is not rational raises TypeError."""
     t = tuple(entries)
-    if not _is_rational(t):
+    if not _EXACT_TYPES.issuperset(map(type, t)):
         for e in t:
-            if isinstance(e, Number) and not isinstance(e, Rational):
-                raise TypeError(f"cannot interpret {e!r} as an exact scalar")
+            if type(e) not in _EXACT_TYPES:
+                if isinstance(e, Number) and not isinstance(e, Rational):
+                    raise TypeError(f"cannot interpret {e!r} as an exact scalar")
+                _EXACT_TYPES.add(type(e))
     return t
 
 
@@ -63,9 +76,12 @@ def _dot(xs, ys):
                 else:
                     num, den = num * q + p * den, den * q
         return Fraction(num, den)
-    total = Fraction(0)
-    for a, b in zip(xs, ys):
-        total = total + a * b
+    products = map(mul, xs, ys)
+    total = next(products, None)
+    if total is None:
+        return Fraction(0)
+    for p in products:
+        total = total + p
     return total
 
 

@@ -117,9 +117,11 @@ class CotangentPoint:
 
     def with_slot(self, s: Slot, value) -> "CotangentPoint":
         kind, i = s
-        vec = self.y if kind == "y" else self.pi
-        new = Vec(value if j == i else vec[j] for j in range(vec.dim))
-        return replace(self, **{("y" if kind == "y" else "pi"): new})
+        if kind == "y":
+            y = Vec(value if j == i else e for j, e in enumerate(self.y))
+            return CotangentPoint(self.bundle, self.x, y, self.p, self.pi)
+        pi = Vec(value if j == i else e for j, e in enumerate(self.pi))
+        return CotangentPoint(self.bundle, self.x, self.y, self.p, pi)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,14 @@ variables and composes by brute substitution, then compares coefficientwise.
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import daffine.atlas as atlas_module
+from daffine import dsl, randgen
 from daffine.atlas import (
     Atlas,
     TransitionData,
@@ -36,6 +40,7 @@ from daffine.errors import (
     SingularMatrix,
 )
 from daffine.exact import BaseMap, Bilinear, Mat, Poly, Vec
+from daffine.report import FAIL, PASS
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +267,48 @@ def test_mismatched_coefficient_arity_is_rejected():
         )
 
 
+def test_lifted_blocks_are_kept_as_given():
+    rng = random.Random(15)
+    t = rand_transition(rng, 2, 2, 1, 2)
+    again = replace(t)
+    for name in atlas_module._BLOCK_ORDER:
+        assert getattr(again, name) is getattr(t, name)
+    t2 = rand_transition(rng, 2, 2, 1, 2)
+    composite = compose(t, t2)
+    assert replace(composite).gamma_yz is composite.gamma_yz
+
+
+def test_rational_entries_are_still_lifted():
+    t = identity_transition(2, 1, 1, 1)
+    assert all(isinstance(e, Poly) and e.nvars == 2 for e in t.alpha0)
+    mixed = replace(t, alpha0=Vec([Fraction(1, 2)]), beta=Mat([[Fraction(3)]]))
+    assert mixed.alpha0[0] == Poly.const(2, Fraction(1, 2))
+    assert isinstance(mixed.alpha0[0], Poly) and isinstance(mixed.beta[0, 0], Poly)
+    assert mixed.beta[0, 0] == Poly.const(2, 3)
+    assert mixed.gamma_yz is t.gamma_yz
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        dict(alpha=Mat([[Poly.const(3, 1)]])),
+        dict(gamma_yz=Bilinear([[[Poly.zero(1)]]])),
+    ],
+)
+def test_polynomial_blocks_on_another_base_are_rejected(block):
+    t = identity_transition(2, 1, 1, 1)
+    with pytest.raises(DimMismatch):
+        replace(t, **block)
+
+
+@pytest.mark.parametrize("name", ["beta", "sigma"])
+def test_lifted_block_singular_at_sample_is_rejected(name):
+    x = Poly(1, {(1,): Fraction(1)})
+    t = identity_transition(1, 1, 1, 1)
+    with pytest.raises(SingularMatrix, match=name):
+        replace(t, samples=(Vec.of(0),), **{name: Mat(((x,),))})
+
+
 def test_pointwise_fiber_maps_track_composition():
     rng = random.Random(42)
     t1 = rand_transition(rng, 2, 2, 2, 1)
@@ -480,3 +527,93 @@ def test_report_text_format():
     assert all(
         line.startswith(("PASS", "FAIL", "SKIP", "OK", "FAILED")) for line in text.splitlines()
     )
+
+
+# ---------------------------------------------------------------------------
+# composites: each chart path composed once per atlas
+# ---------------------------------------------------------------------------
+
+
+def _count_compose(monkeypatch):
+    calls = []
+    real = atlas_module.compose
+
+    def counting(first, second):
+        calls.append((first, second))
+        return real(first, second)
+
+    monkeypatch.setattr(atlas_module, "compose", counting)
+    return calls
+
+
+def _fixture_atlas():
+    path = Path(__file__).parent / "fixtures" / "atlas_consistent.daff"
+    objs = dsl.elaborate(dsl.parse(path.read_text()))
+    return next(v for v in objs.values() if isinstance(v, Atlas))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_fixture_atlas, lambda: randgen.three_chart_atlas(random.Random(5), 2, (1, 1, 1))],
+    ids=["atlas_consistent", "three_chart_atlas"],
+)
+def test_model_hull_composes_each_chart_path_once(monkeypatch, make):
+    atlas = make()
+    calls = _count_compose(monkeypatch)
+    report = check_atlas_model_hull(atlas)
+    assert report.passed
+    # 12 two-step paths on the original atlas; the model and hull cocycle
+    # checks compose 9 each, and functoriality adds the 3 back-and-forth
+    # paths a->b->a with a > b that the cocycle check does not compose
+    assert len(calls) == 36
+    # a second check reuses the original atlas's composites
+    calls.clear()
+    assert check_atlas_model_hull(atlas).to_json() == report.to_json()
+    assert len(calls) == 24
+
+
+def test_cocycle_check_composes_nine_paths(monkeypatch):
+    atlas = randgen.three_chart_atlas(random.Random(5), 2, (1, 1, 1))
+    calls = _count_compose(monkeypatch)
+    assert cocycle_check(atlas).passed
+    assert len(calls) == 9
+    assert atlas.composite("a", "b", "c") is atlas.composite("a", "b", "c")
+    assert len(calls) == 9
+
+
+def test_a_failing_composite_is_not_kept(monkeypatch):
+    atlas = three_chart_atlas(seed=5)
+    t_ab, t_bc = atlas.transition("a", "b"), atlas.transition("b", "c")
+    real = atlas_module.compose
+    calls = []
+
+    def refusing(first, second):
+        calls.append((first, second))
+        hull_path = (
+            first.base_map is t_ab.base_map
+            and second.base_map is t_bc.base_map
+            and first.fiber_dims != atlas.fiber_dims
+        )
+        if hull_path:
+            raise NotInvertible("hull path a->b->c refused")
+        return real(first, second)
+
+    monkeypatch.setattr(atlas_module, "compose", refusing)
+    hull_atlas = atlas.mapped(induce_hull)
+    records = {r.name: r for r in cocycle_check(hull_atlas).sorted_records()}
+    assert records["triangle a->b->c"].status == FAIL
+    assert records["triangle a->b->c"].witness == "hull path a->b->c refused"
+    assert records["triangle b->c->a"].status == PASS
+    for _ in range(2):
+        n = len(calls)
+        with pytest.raises(NotInvertible, match="refused"):
+            hull_atlas.composite("a", "b", "c")
+        assert len(calls) == n + 1
+    with pytest.raises(NotInvertible, match="hull path a->b->c refused"):
+        check_atlas_model_hull(atlas)
+
+
+def test_composite_needs_both_edges():
+    atlas = Atlas(1, (1, 1, 1), ("a", "b"), (("a", "b", identity_transition(1, 1, 1, 1)),))
+    with pytest.raises(DaffineError, match="no path a->b->a"):
+        atlas.composite("a", "b", "a")

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from daffine.exact import (
     as_scalar,
     format_scalar,
 )
+from daffine.exact import linalg
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 
@@ -144,6 +146,24 @@ def test_constructors_keep_exact_entries():
     assert Bilinear([[[1, F(1, 2)], [p, 0]]]).entries == (((1, F(1, 2)), (p, 0)),)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: Vec([0.5]),
+        lambda p: Mat([[p, 0.5]]),
+        lambda p: Bilinear([[[complex(1)]]]),
+        lambda p: Vec([Decimal("1")]),
+        lambda p: Bilinear([[[p, Decimal("1")]]]),
+    ],
+)
+def test_inexact_entries_are_rejected_after_polynomials(build):
+    p = Poly.variable(2, 0)
+    Mat([[p, F(1)], [1, p]])
+    assert Poly in linalg._EXACT_TYPES  # remembered as exact
+    with pytest.raises(TypeError, match=r"^cannot interpret .* as an exact scalar$"):
+        build(p)
+
+
 # ---------------------------------------------------------------- rational kernel
 # dot, @, vec_mul, det and inverse on int/Fraction entries against naive
 # Fraction loops; other entries (polynomials) against the generic ring loop.
@@ -269,6 +289,26 @@ def _generic_dot(xs, ys):
 polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), rationals, max_size=3).map(
     lambda t: Poly(2, t)
 )
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(polys, min_size=n, max_size=n),
+            st.lists(st.one_of(rationals, polys), min_size=n, max_size=n),
+        )
+    )
+)
+def test_generic_dot_starts_from_the_first_product(pair):
+    xs, ys = pair
+    got = linalg._dot(xs, ys)
+    assert got == _generic_dot(xs, ys)
+    assert type(got) is (Poly if xs else F)
+
+
+def test_empty_generic_dot_is_fraction_zero():
+    got = linalg._dot([], [Poly.variable(2, 0)])
+    assert got == 0 and type(got) is F
 
 
 @given(
