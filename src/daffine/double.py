@@ -274,7 +274,7 @@ def special_dual_horizontal(a: DoubleAffine) -> DoubleAffine:
     )
 
 
-_PROBE_CORES = (0, 1, -3)
+_PROBE_CORES = (Fraction(0), Fraction(1), Fraction(-3))
 
 
 def pairing(phi: DoublePoint, psi: DoublePoint, a: DoubleAffine) -> Scalar:
@@ -292,7 +292,7 @@ def pairing(phi: DoublePoint, psi: DoublePoint, a: DoubleAffine) -> Scalar:
         raise BaseMismatch("pairing needs a common core covector")
     values = set()
     for t in _PROBE_CORES:
-        x = DoublePoint(d, phi.y, psi.z, Vec(Fraction(t) for _ in range(d.n3)))
+        x = DoublePoint(d, phi.y, psi.z, Vec((t,) * d.n3))
         values.add(vd_eval(phi, x) - hd_eval(psi, x))
     if len(values) != 1:
         raise ConstraintViolated("pairing depended on the interpolating point")

@@ -148,6 +148,13 @@ MAX_TERMS = 2000
 ``p*q`` by the product of the term counts, ``p^k`` of t terms by the number
 of degree-k monomials in t variables, C(t+k-1, k)."""
 
+MAX_TERM_PRODUCTS = MAX_EXPONENT * (MAX_EXPONENT + 1)
+"""Most products of two terms a power may take to expand, bounded before
+expanding.  ``p^k`` of t terms multiplies by ``p`` k times, up to
+k*C(t+k-1, k) term products in all; the bound admits a binomial to every
+exponent up to ``MAX_EXPONENT``.  A product ``p*q`` takes as many as its
+terms, which ``MAX_TERMS`` bounds."""
+
 _ONE = Fraction(1)
 _PUNCT = frozenset("{}[]=;,./+-*^()")
 _STARTS = _PUNCT | {"_"}  # with letters and digits, the characters a token starts with
@@ -406,8 +413,11 @@ class _Parser:
                 self.fail((f"an exponent of at most {MAX_EXPONENT}",))
             self.i += 1
         if k != 1:
-            if comb(len(base) + k - 1, k) > MAX_TERMS:
+            terms = comb(len(base) + k - 1, k)
+            if terms > MAX_TERMS:
                 self.fail((f"a power of at most {MAX_TERMS} terms",), at)
+            if k * terms > MAX_TERM_PRODUCTS:
+                self.fail((f"a power of at most {MAX_TERM_PRODUCTS} term products",), at)
             base = _ppow(base, k)
         if neg:
             for m in base:

@@ -8,11 +8,23 @@ rational, such as a float, a complex or a ``Decimal``, is rejected with
 :class:`TypeError` when a ``Vec``, ``Mat`` or ``Bilinear`` is built, so no
 entry is ever rounded.
 
-That exactness check depends only on an entry's type: a type is rejected
-when it is a ``numbers.Number`` but not a ``numbers.Rational``.  The types
-that have passed are remembered, starting from ``int`` and ``Fraction``, so
-an entry of a known type, such as a polynomial after the first one, costs a
-set lookup instead of two abstract-base-class checks.
+That exactness check runs where a value enters: at the public constructors
+and on a scalar from outside (the factor of ``scale``, the new entries of
+``replaced``).  It depends only on an entry's type: a type is rejected when
+it is a ``numbers.Number`` but not a ``numbers.Rational``.  The types that
+have passed are remembered, starting from ``int`` and ``Fraction``, so an
+entry of a known type, such as a polynomial after the first one, costs a set
+lookup instead of two abstract-base-class checks.
+
+Results the kernel computes from checked entries -- of ``+``, ``-``,
+negation, ``scale``, ``@``, ``vec_mul`` and ``inverse`` -- and the
+rearranged entries of ``transpose``, ``concat``, ``row`` and ``col`` skip
+the check (the private ``_trusted`` constructors).  A computed result skips
+it only while every type that has passed is *closed*: ``int``, ``Fraction``
+or ``Poly``, whose ring operations with each other return one of them again.
+Once an entry of any other type has passed, computed results go back
+through the public constructors, because that type's ``+`` may return a
+float.
 
 Products, determinants and inverses take one of two branches:
 
@@ -35,15 +47,21 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 from numbers import Number, Rational
-from operator import mul
-from typing import Iterable, Sequence
+from operator import add, mul, neg, sub
+from typing import Iterable, Mapping, Sequence
 
 from ..errors import DimMismatch, SingularMatrix
-from .scalar import Scalar, as_scalar
+from .scalar import ONE, ZERO, Scalar, as_scalar
 
 _RATIONAL = frozenset((Fraction, int))
 # entry types that have passed the exactness check; it depends only on the type
 _EXACT_TYPES = set(_RATIONAL)
+# exact types whose ring operations with each other stay among them; poly.py
+# adds Poly
+_CLOSED_TYPES = set(_RATIONAL)
+# types that have passed the check but are not closed; while there is none,
+# a result computed from checked entries is not checked again
+_OPEN_TYPES = set()
 
 
 def _is_rational(entries) -> bool:
@@ -60,7 +78,19 @@ def _exact(entries: Iterable) -> tuple:
                 if isinstance(e, Number) and not isinstance(e, Rational):
                     raise TypeError(f"cannot interpret {e!r} as an exact scalar")
                 _EXACT_TYPES.add(type(e))
+                if type(e) not in _CLOSED_TYPES:
+                    _OPEN_TYPES.add(type(e))
     return t
+
+
+def _vec(entries: tuple) -> "Vec":
+    """A vector the kernel computed from checked entries."""
+    return Vec(entries) if _OPEN_TYPES else Vec._trusted(entries)
+
+
+def _mat(rows: tuple) -> "Mat":
+    """A matrix the kernel computed from checked entries, as row tuples."""
+    return Mat(rows) if _OPEN_TYPES else Mat._trusted(rows)
 
 
 def _dot(xs, ys):
@@ -134,6 +164,14 @@ class Vec:
     def __init__(self, entries: Iterable):
         object.__setattr__(self, "entries", _exact(entries))
 
+    @classmethod
+    def _trusted(cls, entries: tuple) -> "Vec":
+        """Wrap a tuple of entries without the exactness check: they must
+        have passed it, or be computed from such entries of closed types."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "entries", entries)
+        return v
+
     def __setattr__(self, *args):  # pragma: no cover - defensive
         raise AttributeError("Vec is immutable")
 
@@ -146,13 +184,13 @@ class Vec:
 
     @staticmethod
     def zero(n: int) -> "Vec":
-        return Vec([Fraction(0)] * n)
+        return Vec._trusted((ZERO,) * n)
 
     @staticmethod
     def unit(n: int, i: int) -> "Vec":
         if not 0 <= i < n:
             raise DimMismatch(f"unit index {i} out of range for dimension {n}")
-        return Vec(Fraction(1) if j == i else Fraction(0) for j in range(n))
+        return Vec._trusted(_unit_entries(n, i))
 
     @property
     def dim(self) -> int:
@@ -175,19 +213,32 @@ class Vec:
 
     def __add__(self, other: "Vec") -> "Vec":
         self._check(other)
-        return Vec(a + b for a, b in zip(self.entries, other.entries))
+        return _vec(tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._check(other)
-        return Vec(a - b for a, b in zip(self.entries, other.entries))
+        return _vec(tuple(map(sub, self.entries, other.entries)))
 
     def __neg__(self) -> "Vec":
-        return Vec(-a for a in self.entries)
+        return _vec(tuple(map(neg, self.entries)))
 
     def scale(self, c) -> "Vec":
-        return Vec(c * a for a in self.entries)
+        if type(c) not in _CLOSED_TYPES:
+            return Vec(c * a for a in self.entries)
+        return _vec(tuple(c * a for a in self.entries))
 
     __rmul__ = scale
+
+    def replaced(self, changes: Mapping[int, object]) -> "Vec":
+        """This vector with entry ``i`` replaced by ``changes[i]``; only the
+        new entries are checked."""
+        entries = list(self.entries)
+        for i, value in changes.items():
+            if not 0 <= i < len(entries):
+                raise DimMismatch(f"index {i} out of range for dimension {len(entries)}")
+            entries[i] = value
+        _exact(changes.values())
+        return Vec._trusted(tuple(entries))
 
     def dot(self, other: "Vec"):
         """Exact inner product; empty vectors pair to 0."""
@@ -198,7 +249,7 @@ class Vec:
         return all(not e for e in self.entries)
 
     def concat(self, other: "Vec") -> "Vec":
-        return Vec(self.entries + other.entries)
+        return Vec._trusted(self.entries + other.entries)
 
     def _check(self, other: "Vec") -> None:
         if not isinstance(other, Vec) or len(other) != len(self):
@@ -219,16 +270,24 @@ class Mat:
             raise DimMismatch("ragged rows")
         object.__setattr__(self, "rows", rs)
 
+    @classmethod
+    def _trusted(cls, rows: tuple) -> "Mat":
+        """Wrap a tuple of equal-length row tuples without the exactness
+        check, as ``Vec._trusted`` does."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __setattr__(self, *args):  # pragma: no cover - defensive
         raise AttributeError("Mat is immutable")
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+        return Mat._trusted(tuple(_unit_entries(n, i) for i in range(n)))
 
     @staticmethod
     def zero(r: int, c: int) -> "Mat":
-        return Mat([[Fraction(0)] * c for _ in range(r)])
+        return Mat._trusted(((ZERO,) * c,) * r)
 
     @staticmethod
     def from_cols(cols: Sequence[Vec]) -> "Mat":
@@ -249,10 +308,10 @@ class Mat:
         return (self.nrows, self.ncols)
 
     def row(self, i: int) -> Vec:
-        return Vec(self.rows[i])
+        return Vec._trusted(self.rows[i])
 
     def col(self, j: int) -> Vec:
-        return Vec(r[j] for r in self.rows)
+        return Vec._trusted(tuple(r[j] for r in self.rows))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -267,40 +326,42 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise DimMismatch(f"matrix shapes {self.shape} vs {other.shape}")
-        return Mat(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
+        return _mat(tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise DimMismatch(f"matrix shapes {self.shape} vs {other.shape}")
-        return Mat(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
+        return _mat(tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Mat":
-        return Mat(tuple(-a for a in r) for r in self.rows)
+        return _mat(tuple(tuple(map(neg, r)) for r in self.rows))
 
     def scale(self, c) -> "Mat":
-        return Mat(tuple(c * a for a in r) for r in self.rows)
+        if type(c) not in _CLOSED_TYPES:
+            return Mat(tuple(c * a for a in r) for r in self.rows)
+        return _mat(tuple(tuple(c * a for a in r) for r in self.rows))
 
     def __matmul__(self, other):
         if isinstance(other, Vec):
             if other.dim != self.ncols:
                 raise DimMismatch(f"matvec {self.shape} @ {other.dim}")
             v = other.entries
-            return Vec(_dot(r, v) for r in self.rows)
+            return _vec(tuple(_dot(r, v) for r in self.rows))
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise DimMismatch(f"matmul {self.shape} @ {other.shape}")
             cols = tuple(zip(*other.rows))
-            return Mat(tuple(_dot(r, c) for c in cols) for r in self.rows)
+            return _mat(tuple(tuple(_dot(r, c) for c in cols) for r in self.rows))
         return NotImplemented
 
     def transpose(self) -> "Mat":
-        return Mat(zip(*self.rows)) if self.rows else Mat([])
+        return Mat._trusted(tuple(zip(*self.rows)))
 
     def vec_mul(self, v: Vec) -> Vec:
         """Row-vector times matrix: v^T M, returned as a Vec."""
         if v.dim != self.nrows:
             raise DimMismatch(f"vecmat {v.dim} @ {self.shape}")
-        return Vec(_dot(v.entries, c) for c in zip(*self.rows))
+        return _vec(tuple(_dot(v.entries, c) for c in zip(*self.rows)))
 
     # ---- ring-generic determinant (cofactor expansion, small sizes) ----
 
@@ -310,7 +371,7 @@ class Mat:
         n = self.nrows
         if n == 0:
             return Fraction(1)
-        if all(isinstance(e, Fraction) for r in self.rows for e in r):
+        if all(map(_is_rational, self.rows)):
             return self._det_gauss()
         return _det_cofactor(self.rows)
 
@@ -413,13 +474,17 @@ class Mat:
         d = _bareiss(a, n)[1]
         if not d:
             raise SingularMatrix("matrix is singular")
-        return Mat(tuple(Fraction(r[n + j] * scales[j], d) for j in range(n)) for r in a)
+        return Mat._trusted(tuple(tuple(Fraction(r[n + j] * scales[j], d) for j in range(n)) for r in a))
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and bool(self.det())
 
     def __repr__(self) -> str:
         return f"Mat({[list(r) for r in self.rows]!r})"
+
+
+def _unit_entries(n: int, i: int) -> tuple:
+    return (ZERO,) * i + (ONE,) + (ZERO,) * (n - i - 1)
 
 
 def _minor(rows, i: int, j: int):

@@ -45,7 +45,7 @@ from .errors import (
     SpaceMismatch,
     ZeroForm,
 )
-from .exact import Mat, Vec, as_scalar
+from .exact import ONE, ZERO, Mat, Vec, as_scalar
 from .report import FAIL, PASS, CheckRecord, Report
 
 Slot = Tuple[str, int]
@@ -118,29 +118,36 @@ class CotangentPoint:
     def with_slot(self, s: Slot, value) -> "CotangentPoint":
         kind, i = s
         if kind == "y":
-            y = Vec(value if j == i else e for j, e in enumerate(self.y))
-            return CotangentPoint(self.bundle, self.x, y, self.p, self.pi)
-        pi = Vec(value if j == i else e for j, e in enumerate(self.pi))
-        return CotangentPoint(self.bundle, self.x, self.y, self.p, pi)
+            return CotangentPoint(self.bundle, self.x, self.y.replaced({i: value}), self.p, self.pi)
+        return CotangentPoint(self.bundle, self.x, self.y, self.p, self.pi.replaced({i: value}))
 
 
 @dataclass(frozen=True)
 class ReducedCovector:
     """A cotangent point modulo translations of the masked slots.
 
-    The stored representative is canonical: every masked slot is zero, so
-    dataclass equality is exactly equality of the unmasked coordinates.
+    The stored representative is canonical: every masked slot is
+    ``Fraction(0)``, so dataclass equality is exactly equality of the
+    unmasked coordinates.  A point whose masked slots already are is kept as
+    it is; any other is rebuilt once, with all of them zeroed.
     """
 
     point: CotangentPoint
     mask: FrozenSet[Slot] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", frozenset(self.mask))
-        canon = self.point
-        for s in sorted(self.mask):
-            canon = canon.with_slot(s, Fraction(0))
-        object.__setattr__(self, "point", canon)
+        mask = frozenset(self.mask)
+        object.__setattr__(self, "mask", mask)
+        p = self.point
+        for kind, i in mask:
+            e = (p.y if kind == "y" else p.pi).entries
+            if not (0 <= i < len(e) and type(e[i]) is Fraction and not e[i]):
+                break
+        else:
+            return  # every masked slot already holds Fraction(0)
+        y = p.y.replaced({i: ZERO for kind, i in mask if kind == "y"})
+        pi = p.pi.replaced({i: ZERO for kind, i in mask if kind != "y"})
+        object.__setattr__(self, "point", CotangentPoint(p.bundle, p.x, y, p.p, pi))
 
     @property
     def bundle(self) -> TrivialBispecial:
@@ -169,7 +176,12 @@ _KINDS = (AFFCTG, PHASEP, BBL, CONTACT)
 
 @dataclass(frozen=True)
 class PhaseSet:
-    """One of the four standard subquotients of the cotangent space."""
+    """One of the four standard subquotients of the cotangent space.
+
+    ``mask`` (the quotiented slots) and ``constraints`` (the slots fixed to
+    1) are computed once, when the set is built; they are not fields, so
+    equality, hashing and ``repr`` read the bundle and the kind alone.
+    """
 
     bundle: TrivialBispecial
     kind: str
@@ -177,22 +189,17 @@ class PhaseSet:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown phase set kind {self.kind!r}")
-
-    @property
-    def mask(self) -> FrozenSet[Slot]:
         b = self.bundle
+        mask: FrozenSet[Slot] = frozenset()
         if self.kind in (AFFCTG, PHASEP):
-            return frozenset({("y", b.v_index), ("pi", b.alpha_index)})
-        if self.kind == CONTACT:
-            return frozenset({("pi", b.alpha_index)})
-        return frozenset()
-
-    @property
-    def constraints(self) -> Tuple[Tuple[Slot, Fraction], ...]:
-        b = self.bundle
-        if self.kind == AFFCTG:
-            return ()
-        return ((("y", b.alpha_index), Fraction(1)), (("pi", b.v_index), Fraction(1)))
+            mask = frozenset({("y", b.v_index), ("pi", b.alpha_index)})
+        elif self.kind == CONTACT:
+            mask = frozenset({("pi", b.alpha_index)})
+        constraints: Tuple[Tuple[Slot, Fraction], ...] = ()
+        if self.kind != AFFCTG:
+            constraints = ((("y", b.alpha_index), ONE), (("pi", b.v_index), ONE))
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "constraints", constraints)
 
     def contains(self, w: ReducedCovector) -> bool:
         return (

@@ -12,17 +12,23 @@ from typing import Tuple
 
 from .atlas import Atlas, TransitionData, compose, inverse
 from .double import DecomposedDouble, DoubleAffine, DoublePoint, horizontal_dual, vertical_dual
-from .exact import BaseMap, Bilinear, Mat, Poly, Vec
+from .exact import ZERO, BaseMap, Bilinear, Mat, Poly, Vec
+from .exact.linalg import _dot
 from .naffine import GradedPoint, GradedSpace, NAffine, unit_degree
 from .phase import CotangentPoint, PhaseSet, ReducedCovector, TrivialBispecial
 
 
+# _FRACTIONS[p + 6][q - 1] is Fraction(p, q), for -6 <= p <= 6 and 1 <= q <= 4
+_FRACTIONS = tuple(tuple(Fraction(p, q) for q in range(1, 5)) for p in range(-6, 7))
+
+
 def rand_frac(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    """``Fraction(rng.randint(-6, 6), rng.randint(1, 4))``, from a table."""
+    return _FRACTIONS[rng.randint(-6, 6) + 6][rng.randint(1, 4) - 1]
 
 
 def rand_vec(rng: random.Random, d: int) -> Vec:
-    return Vec(rand_frac(rng) for _ in range(d))
+    return Vec._trusted(tuple([rand_frac(rng) for _ in range(d)]))
 
 
 def nonzero_vec(rng: random.Random, d: int) -> Vec:
@@ -35,8 +41,9 @@ def nonzero_vec(rng: random.Random, d: int) -> Vec:
 def point_on(l: Vec, rng: random.Random) -> Vec:
     """A random vector with l(v) = 1."""
     i = next(k for k, x in enumerate(l) if x != 0)
-    free = Vec(rand_frac(rng) if k != i else Fraction(0) for k in range(l.dim))
-    return free + Vec.unit(l.dim, i).scale((1 - l.dot(free)) / l[i])
+    entries = [rand_frac(rng) if k != i else ZERO for k in range(l.dim)]
+    entries[i] = (1 - _dot(l.entries, entries)) / l[i]
+    return Vec(entries)
 
 
 def rand_double_affine(rng: random.Random, n1: int, n2: int, n3: int, special: bool = True) -> DoubleAffine:

@@ -57,6 +57,17 @@ def test_malformed_literal_exits_two(source, tmp_path, capsys):
     assert captured.err.startswith("error: line 1, col ")
 
 
+def test_power_over_the_work_bound_exits_two_before_expanding(tmp_path, capsys, monkeypatch):
+    text = Path(fixture("atlas_consistent.daff")).read_text()
+    path = tmp_path / "doc.daff"
+    path.write_text(text.replace("[-x1 - 3]", "[(x1+x2+x3)^61]", 1), encoding="utf-8")
+    monkeypatch.setattr(dsl, "_ppow", None)  # the power is refused before it is expanded
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 7, col 27: expected a power of at most {dsl.MAX_TERM_PRODUCTS} term products, found ^\n"
+
+
 def test_undecodable_file_exits_two(tmp_path, capsys):
     path = tmp_path / "doc.daff"
     path.write_bytes(b"double A { n1 = 1; \xff }")

@@ -13,6 +13,7 @@ from daffine.atlas import Atlas, first_difference
 from daffine.dsl import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERM_PRODUCTS,
     MAX_TERMS,
     Document,
     DoubleBlock,
@@ -224,6 +225,32 @@ def test_expansions_up_to_the_term_bound_are_exact():
     assert fm["n1"].to_poly(62) == total(62, 62) ** 2  # C(63, 2) = 1953 terms
     assert fm["n2"].to_poly(50) == total(50, 40) * total(50, 50)  # 2000 products
     assert fm["n3"].to_poly(2) == total(2, 2) ** MAX_EXPONENT
+
+
+@pytest.mark.parametrize(
+    "t, k",
+    [
+        (3, 61),  # 1891 terms from 61 * C(63, 61) = 119 133 term products
+        (4, 20),  # 1771 terms from 35 420
+        (6, 8),  # 1287 terms from 10 296
+        (3, 27),  # 406 terms from 10 962
+    ],
+)
+def test_power_above_the_work_bound_is_a_parse_error(t, k, monkeypatch):
+    monkeypatch.setattr(dsl, "_ppow", None)  # refused before any expansion
+    text = f"double A {{ n1 = {_sum(t)}^{k}; }}"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.expected == (f"a power of at most {MAX_TERM_PRODUCTS} term products",)
+    assert err.value.found == "^"
+    assert err.value.col == text.rindex("^") + 1
+
+
+def test_powers_up_to_the_work_bound_expand_exactly():
+    x = [Poly.variable(3, i) for i in range(3)]
+    fm = parse(f"double A {{ n1 = {_sum(3)}^26; n2 = {_sum(2)}^{MAX_EXPONENT}; }}").blocks[0].field_map()
+    assert fm["n1"].to_poly(3) == (x[0] + x[1] + x[2]) ** 26  # 26 * C(28, 26) = 9828 term products
+    assert fm["n2"].to_poly(3) == (x[0] + x[1]) ** MAX_EXPONENT  # 10 100, the bound
 
 
 @pytest.mark.skipif(

@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -162,6 +163,99 @@ def test_inexact_entries_are_rejected_after_polynomials(build):
     assert Poly in linalg._EXACT_TYPES  # remembered as exact
     with pytest.raises(TypeError, match=r"^cannot interpret .* as an exact scalar$"):
         build(p)
+
+
+# ---------------------------------------------------------------- exactness at the boundary
+# The public constructors and a scalar from outside are checked; the results
+# the kernel computes from checked entries of int, Fraction and Poly type are
+# built without a second check.
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: Vec([0.5]), "0.5"),
+        (lambda: Mat([[0.5]]), "0.5"),
+        (lambda: Vec([F(1, 2), 1]).scale(0.5), "0.25"),
+        (lambda: 0.5 * Vec([F(1, 2), 1]), "0.25"),
+        (lambda: Mat([[1, F(1, 2)]]).scale(0.5), "0.5"),
+        (lambda: Vec([1, 2]).replaced({1: 0.5}), "0.5"),
+    ],
+)
+def test_floats_are_rejected_naming_the_first_inexact_entry(build, shown):
+    with pytest.raises(TypeError, match=rf"^cannot interpret {re.escape(shown)} as an exact scalar$"):
+        build()
+
+
+def test_kernel_results_skip_the_second_check(monkeypatch):
+    monkeypatch.setattr(linalg, "_OPEN_TYPES", set())  # as when only int, Fraction and Poly have passed
+    p = Poly.variable(2, 0)
+    v, m = Vec([F(1, 2), 3]), Mat([[1, F(2, 3)], [F(-1), 4]])
+    pv, pm = Vec([p, F(1, 2)]), Mat([[p, 1], [F(1, 3), p * p]])
+    checked = []
+    real = linalg._exact
+    monkeypatch.setattr(linalg, "_exact", lambda entries: checked.append(entries) or real(entries))
+    results = [
+        v + v, v - v, -v, v.scale(F(3)), 2 * v, v.concat(v), m @ v, m @ m, m.vec_mul(v),
+        m + m, m - m, -m, m.scale(2), m.transpose(), m.inverse(), m.row(1), m.col(0),
+        pv + pv, -pv, pv.scale(p), pm @ pv, pm @ pm, pm.vec_mul(pv), pm.scale(F(1, 2)),
+        Vec.zero(3), Vec.unit(3, 1), Mat.zero(2, 3), Mat.identity(3),
+    ]
+    assert checked == []
+    for r in results:  # each equals, and prints like, its public construction
+        public = Vec(r.entries) if isinstance(r, Vec) else Mat(r.rows)
+        assert r == public and repr(r) == repr(public)
+
+
+class _FloatyRing:
+    """An entry that is not a number, so it passes the check, but whose ring
+    operations return a float."""
+
+    def __add__(self, other):
+        return 0.5
+
+    __sub__ = __rmul__ = __mul__ = __add__
+
+    def __neg__(self):
+        return 0.5
+
+
+def test_results_over_an_open_entry_type_are_checked_again(monkeypatch):
+    monkeypatch.setattr(linalg, "_EXACT_TYPES", set(linalg._EXACT_TYPES))
+    monkeypatch.setattr(linalg, "_OPEN_TYPES", set())
+    v, m = Vec([_FloatyRing()]), Mat([[_FloatyRing()]])
+    assert linalg._OPEN_TYPES == {_FloatyRing}
+    for op in (
+        lambda: v + v, lambda: v - v, lambda: -v, lambda: v.scale(2), lambda: 2 * v, lambda: m @ v,
+        lambda: m + m, lambda: -m, lambda: m.scale(F(1, 2)), lambda: m @ m, lambda: m.vec_mul(v),
+    ):
+        with pytest.raises(TypeError, match=r"^cannot interpret 0.5 as an exact scalar$"):
+            op()
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_constant_constructors_equal_the_per_entry_construction(n):
+    assert repr(Vec.zero(n)) == repr(Vec([F(0)] * n)) and Vec.zero(n) == Vec([F(0)] * n)
+    for i in range(n):
+        unit = Vec(F(1) if j == i else F(0) for j in range(n))
+        assert Vec.unit(n, i) == unit and repr(Vec.unit(n, i)) == repr(unit)
+    identity = Mat([[F(1) if i == j else F(0) for j in range(n)] for i in range(n)])
+    assert Mat.identity(n) == identity and repr(Mat.identity(n)) == repr(identity)
+    zero = Mat([[F(0)] * (n + 1) for _ in range(n)])
+    assert Mat.zero(n, n + 1) == zero and repr(Mat.zero(n, n + 1)) == repr(zero)
+
+
+def test_replaced_checks_only_the_new_entries(monkeypatch):
+    v = Vec([1, F(1, 2), 3])
+    checked = []
+    real = linalg._exact
+    monkeypatch.setattr(linalg, "_exact", lambda entries: checked.append(tuple(entries)) or real(entries))
+    assert v.replaced({0: F(5), 2: 0}).entries == (F(5), F(1, 2), 0)
+    assert checked == [(F(5), 0)]
+    assert v.replaced({}) == v
+    for i in (3, -1):
+        with pytest.raises(DimMismatch):
+            v.replaced({i: F(1)})
 
 
 # ---------------------------------------------------------------- rational kernel

@@ -2,16 +2,19 @@
 
 sympy is an oracle for the tests only; ``daffine`` itself depends on nothing.
 ``Mat.det`` and ``Mat.inverse`` on Fraction matrices, singular ones included,
-must equal ``sympy.Matrix.det()`` and ``.inv()`` exactly.
+must equal ``sympy.Matrix.det()`` and ``.inv()`` exactly; so must ``Mat.det``
+on matrices of ints, or of ints mixed with Fractions, which take the same
+integer path and never the cofactor expansion.
 """
 
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from daffine.errors import SingularMatrix
-from daffine.exact import Mat
+from daffine.exact import Mat, linalg
 
 sympy = pytest.importorskip("sympy")
 
@@ -50,3 +53,25 @@ def test_det_and_inverse_match_sympy(rows):
     else:
         inv = s.inv()
         assert a.inverse().rows == tuple(tuple(from_sympy(inv[i, j]) for j in range(s.cols)) for i in range(s.rows))
+
+
+@st.composite
+def int_square(draw):
+    """A matrix of size 1..8 of ints, or of ints and Fractions mixed; about
+    half are singular, as in ``square``."""
+    n = draw(st.integers(1, 8))
+    ints = st.integers(-9, 9)
+    entry = ints if draw(st.booleans()) else st.one_of(ints, rationals)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        c = draw(st.integers(-3, 3))
+        rows[draw(st.integers(0, n - 1))] = [a + c * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(int_square())
+def test_det_of_int_and_mixed_matrices_matches_sympy(rows):
+    with mock.patch.object(linalg, "_det_cofactor", side_effect=AssertionError("cofactor expansion")):
+        det = Mat(rows).det()
+    assert det == from_sympy(to_sympy(rows).det())

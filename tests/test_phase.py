@@ -162,6 +162,24 @@ def test_masks_and_constraints_per_kind():
     assert dict(dual.constraints) == {("y", 0): 1, ("pi", 2): 1}
 
 
+def test_mask_and_constraints_are_computed_once_and_are_not_fields():
+    ps = build(CONTACT, E11)
+    assert ps.mask is ps.mask and ps.constraints is ps.constraints
+    assert all(type(v) is Fraction for _, v in ps.constraints)
+    assert ps == PhaseSet(E11, CONTACT) and hash(ps) == hash(PhaseSet(E11, CONTACT))
+    assert ps != PhaseSet(E11, BBL)
+    assert repr(ps) == "PhaseSet(bundle=TrivialBispecial(base_dim=1, n=1, dual_form=False), kind='contact')"
+    with pytest.raises(ValueError):
+        PhaseSet(E11, "nope")
+
+
+def test_with_slot_rejects_a_float():
+    pt = rand_cotangent(random.Random(4), E11)
+    for slot in (("y", 0), ("pi", 1)):
+        with pytest.raises(TypeError, match=r"^cannot interpret 0.5 as an exact scalar$"):
+            pt.with_slot(slot, 0.5)
+
+
 def test_reduce_enforces_constraints_and_masks():
     rng = random.Random(2)
     pt = rand_cotangent(rng, E11).with_slot(("y", 2), Fraction(2))
