@@ -55,10 +55,6 @@ class PolyValue:
 
     terms: Tuple[Tuple[Monomial, Fraction], ...]
 
-    @property
-    def max_var(self) -> int:
-        return max(v for mono, _ in self.terms for v, _e in mono)
-
     def to_poly(self, nvars: int) -> Poly:
         exps = {}
         for mono, c in self.terms:
@@ -198,9 +194,6 @@ class Block:
 @dataclass(frozen=True)
 class Document:
     blocks: Tuple[Block, ...]
-
-    def by_kind(self, kind: str):
-        return tuple(b for b in self.blocks if b.kind == kind)
 
 
 _FIELD_ORDER = {

@@ -26,17 +26,19 @@ Once an entry of any other type has passed, computed results go back
 through the public constructors, because that type's ``+`` may return a
 float.
 
-Products, determinants and inverses take one of two branches:
+Products and determinants take one of two branches; inverses and row
+reduction need rational entries and always take the first:
 
 * When every entry is an ``int`` or a ``Fraction`` (the rational kernel),
   ``dot``, ``@``, ``vec_mul``, ``det`` and ``inverse`` work on the integer
   numerators and denominators and make one ``Fraction`` per result.  A dot
-  product sums ``p/q`` over a running common denominator; ``det`` and
-  ``inverse`` scale each row by the lcm of its denominators and run a
-  fraction-free (Bareiss) elimination, whose every division is exact by
-  Sylvester's identity.  All arithmetic is on Python integers, so the
-  result is the exact rational value, normalised once when the ``Fraction``
-  is made.
+  product sums ``p/q`` over a running common denominator; ``det``,
+  ``inverse`` and ``rref`` scale each row by the lcm of its denominators and
+  run one fraction-free (Bareiss) elimination, whose every division is exact
+  by Sylvester's identity; ``rref`` divides by the last pivot once at the
+  end, and ``rank``, ``kernel`` and ``solve`` read its result.  All
+  arithmetic is on Python integers, so the result is the exact rational
+  value, normalised once when the ``Fraction`` is made.
 * Any other entries, such as polynomials, take the generic loop of ring
   operations.  A dot product starts from its first product, so it adds no
   ``Fraction(0)`` to a polynomial sum.
@@ -115,6 +117,12 @@ def _dot(xs, ys):
     return total
 
 
+def _rational_rows(rows):
+    """The rows, through ``as_scalar`` unless every entry is an ``int`` or a
+    ``Fraction``, so an entry that is not a rational raises TypeError."""
+    return rows if all(map(_is_rational, rows)) else [tuple(map(as_scalar, r)) for r in rows]
+
+
 def _cleared(rows):
     """Each rational row times the lcm of its denominators, as a list of
     integers, and the list of those multipliers."""
@@ -129,31 +137,39 @@ def _cleared(rows):
 def _bareiss(a, n: int):
     """Fraction-free Gauss-Jordan elimination on the first ``n`` columns of
     the integer rows ``a``, in place, swapping rows to find nonzero pivots.
+    A column with no pivot joins a free list, which every later step updates
+    along with the columns right of its pivot; while the list is empty, no
+    step touches a column left of its pivot.
 
-    Returns ``(sign, d)``, where ``d`` is the last pivot and ``sign`` the
-    parity of the swaps: ``sign * d`` is the determinant of the leading
-    n x n block, and ``d`` is 0 when that block is singular.  Otherwise the
-    block has become ``d`` times the identity, and each later column ``c``
-    (as it was before the swaps) has become ``d * block^-1 @ c``.  Every
-    division is exact (Sylvester's identity).
+    Returns ``(sign, d, pivots)``: the parity of the swaps, the last pivot
+    (1 if none) and the pivot columns.  Every other column has become ``d``
+    times its reduced row echelon form; the pivot columns are left stale.
+    When the leading n x n block is nonsingular (``len(pivots) == n``),
+    ``sign * d`` is its determinant and each later column ``c`` (as it was
+    before the swaps) has become ``d * block^-1 @ c``.  Every division is
+    exact (Sylvester's identity).
     """
-    sign, prev = 1, 1
+    sign, prev, pivots, free = 1, 1, [], []
     for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        i = len(pivots)
+        pivot = next((r for r in range(i, len(a)) if a[r][k]), None)
         if pivot is None:
-            return sign, 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
+            free.append(k)
+            continue
+        if pivot != i:
+            a[i], a[pivot] = a[pivot], a[i]
             sign = -sign
-        row = a[k]
+        row = a[i]
         p = row[k]
+        cols = free + list(range(k + 1, len(row))) if free else range(k + 1, len(row))
         for ai in a:
             if ai is not row:
                 f = ai[k]
-                for j in range(k + 1, len(ai)):
+                for j in cols:
                     ai[j] = (p * ai[j] - f * row[j]) // prev
         prev = p
-    return sign, prev
+        pivots.append(k)
+    return sign, prev, pivots
 
 
 class Vec:
@@ -378,8 +394,8 @@ class Mat:
     def _det_gauss(self) -> Scalar:
         """Bareiss elimination on the rows cleared of denominators."""
         a, scales = _cleared(self.rows)
-        sign, d = _bareiss(a, len(a))
-        return Fraction(sign * d, prod(scales))
+        sign, d, pivots = _bareiss(a, len(a))
+        return Fraction(sign * d if len(pivots) == len(a) else 0, prod(scales))
 
     def adjugate(self) -> "Mat":
         """Adjugate via cofactors; ring-generic (used for polynomial matrices)."""
@@ -401,27 +417,20 @@ class Mat:
     # ---- field-only operations (Fraction entries) ----
 
     def rref(self):
-        """Reduced row echelon form; returns (Mat, pivot column list)."""
-        a = [list(map(as_scalar, r)) for r in self.rows]
-        nr, nc = len(a), (len(a[0]) if a else 0)
-        pivots = []
-        row = 0
-        for col in range(nc):
-            pivot = next((r for r in range(row, nr) if a[r][col]), None)
-            if pivot is None:
-                continue
-            a[row], a[pivot] = a[pivot], a[row]
-            inv = 1 / a[row][col]
-            a[row] = [x * inv for x in a[row]]
-            for r in range(nr):
-                if r != row and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-            pivots.append(col)
-            row += 1
-            if row == nr:
-                break
-        return Mat(a), pivots
+        """Reduced row echelon form; returns (Mat, pivot column list).
+
+        The fraction-free elimination of ``det`` and ``inverse`` on the rows
+        cleared of denominators, then one division by the last pivot.
+        """
+        a = _cleared(_rational_rows(self.rows))[0]
+        _, d, pivots = _bareiss(a, self.ncols)
+        row_of = {c: i for i, c in enumerate(pivots)}
+        return Mat._trusted(
+            tuple(
+                tuple((ONE if row_of[j] == i else ZERO) if j in row_of else Fraction(x, d) for j, x in enumerate(r))
+                for i, r in enumerate(a)
+            )
+        ), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -464,15 +473,12 @@ class Mat:
         """
         if self.nrows != self.ncols:
             raise DimMismatch("inverse of non-square matrix")
-        rows = self.rows
-        if not all(map(_is_rational, rows)):
-            rows = [tuple(map(as_scalar, r)) for r in rows]
-        a, scales = _cleared(rows)
+        a, scales = _cleared(_rational_rows(self.rows))
         n = len(a)
         for i, r in enumerate(a):
             r.extend(int(i == j) for j in range(n))
-        d = _bareiss(a, n)[1]
-        if not d:
+        _, d, pivots = _bareiss(a, n)
+        if len(pivots) < n:
             raise SingularMatrix("matrix is singular")
         return Mat._trusted(tuple(tuple(Fraction(r[n + j] * scales[j], d) for j in range(n)) for r in a))
 

@@ -5,15 +5,23 @@ to a k-vector; entry ``[t][i][b]`` multiplies ``u[i] * w[b]``.  Entries may be
 Fractions or polynomials; a number that is not rational, such as a float, is
 rejected with :class:`TypeError` when the block is built, as in ``Vec`` and
 ``Mat``.
+
+Each layer ``entries[t]`` is an r x s matrix, and every operation is a
+``Mat`` operation on the layers: ``+``, negation and ``scale`` layer by
+layer, the contractions as ``@`` and ``vec_mul`` (so a rational block takes
+the integer kernel of :mod:`daffine.exact.linalg`, and a polynomial block
+its generic loop), and ``post`` as one product with the layers flattened
+into rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from ..errors import DimMismatch
-from .linalg import Mat, Vec, _dot, _exact
+from .linalg import Mat, Vec, _exact
 
 
 class Bilinear:
@@ -55,102 +63,63 @@ class Bilinear:
     def __hash__(self) -> int:
         return hash(self.entries)
 
+    def _layers(self):
+        """Each layer ``entries[t]`` as an r x s matrix."""
+        return [Mat._trusted(layer) for layer in self.entries]
+
     def __add__(self, other: "Bilinear") -> "Bilinear":
         if self.shape != other.shape:
             raise DimMismatch(f"bilinear shapes {self.shape} vs {other.shape}")
-        return Bilinear(
-            tuple(
-                tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(l1, l2))
-                for l1, l2 in zip(self.entries, other.entries)
-            )
-        )
+        return Bilinear((a + b).rows for a, b in zip(self._layers(), other._layers()))
 
     def __neg__(self) -> "Bilinear":
-        return Bilinear(tuple(tuple(tuple(-a for a in row) for row in layer) for layer in self.entries))
+        return Bilinear((-a).rows for a in self._layers())
 
     def scale(self, c) -> "Bilinear":
-        return Bilinear(tuple(tuple(tuple(c * a for a in row) for row in layer) for layer in self.entries))
+        return Bilinear(a.scale(c).rows for a in self._layers())
 
     def apply(self, u: Vec, w: Vec) -> Vec:
         """Contract both slots: result[t] = sum_{i,b} entries[t][i][b] u[i] w[b]."""
-        k, r, s = self.shape
+        _, r, s = self.shape
         if u.dim != r or w.dim != s:
             raise DimMismatch(f"bilinear {self.shape} applied to dims ({u.dim}, {w.dim})")
-        out = []
-        for t in range(k):
-            total = Fraction(0)
-            layer = self.entries[t]
-            for i in range(r):
-                ui = u[i]
-                row = layer[i]
-                for b in range(s):
-                    total = total + row[b] * ui * w[b]
-            out.append(total)
-        return Vec(out)
+        return self.left_vec(u) @ w
 
     def left_vec(self, u: Vec) -> Mat:
-        """Contract the first slot: a (k x s) matrix acting on w."""
-        k, r, s = self.shape
-        if u.dim != r:
+        """Contract the first slot: a (k x s) matrix acting on w; row t is u^T entries[t]."""
+        if u.dim != self.shape[1]:
             raise DimMismatch("left contraction dimension")
-        return Mat(
-            [
-                [_dot(tuple(self.entries[t][i][b] for i in range(r)), u.entries) for b in range(s)]
-                for t in range(k)
-            ]
-        )
+        return Mat(a.vec_mul(u).entries for a in self._layers())
 
     def right_vec(self, w: Vec) -> Mat:
-        """Contract the second slot: a (k x r) matrix acting on u."""
-        k, r, s = self.shape
-        if w.dim != s:
+        """Contract the second slot: a (k x r) matrix acting on u; row t is entries[t] @ w."""
+        if w.dim != self.shape[2]:
             raise DimMismatch("right contraction dimension")
-        return Mat([[_dot(self.entries[t][i], w.entries) for i in range(r)] for t in range(k)])
+        return Mat((a @ w).entries for a in self._layers())
 
     def left_mat(self, A: Mat) -> "Bilinear":
-        """Precompose the first slot with A: result[t][i'][b] = sum_i entries[t][i][b] A[i,i']."""
-        k, r, s = self.shape
-        if A.nrows != r:
+        """Precompose the first slot with A: result[t] = A^T entries[t], whose
+        row i' is column i' of A times entries[t] from the left (``A^T @``
+        would fail on an A without columns, whose transpose has no rows)."""
+        if A.nrows != self.shape[1]:
             raise DimMismatch("left matrix contraction dimension")
-        return Bilinear(
-            [
-                [
-                    [_dot(tuple(self.entries[t][i][b] for i in range(r)), A.col(ip).entries) for b in range(s)]
-                    for ip in range(A.ncols)
-                ]
-                for t in range(k)
-            ]
-        )
+        cols = [A.col(j) for j in range(A.ncols)]
+        return Bilinear([a.vec_mul(c).entries for c in cols] for a in self._layers())
 
     def right_mat(self, B: Mat) -> "Bilinear":
-        """Precompose the second slot with B: result[t][i][b'] = sum_b entries[t][i][b] B[b,b']."""
-        k, r, s = self.shape
-        if B.nrows != s:
+        """Precompose the second slot with B: result[t] = entries[t] @ B."""
+        if B.nrows != self.shape[2]:
             raise DimMismatch("right matrix contraction dimension")
-        return Bilinear(
-            [
-                [[_dot(self.entries[t][i], B.col(bp).entries) for bp in range(B.ncols)] for i in range(r)]
-                for t in range(k)
-            ]
-        )
+        return Bilinear((a @ B).rows for a in self._layers())
 
     def post(self, S: Mat) -> "Bilinear":
-        """Apply S to the output slot: result[t'] = sum_t S[t',t] entries[t]."""
+        """Apply S to the output slot: result[t'] = sum_t S[t',t] entries[t],
+        that is S @ the k x (r*s) matrix whose row t is entries[t] flattened."""
         k, r, s = self.shape
         if S.ncols != k:
             raise DimMismatch("output contraction dimension")
-        return Bilinear(
-            [
-                [
-                    [
-                        _dot(tuple(self.entries[t][i][b] for t in range(k)), S.rows[tp])
-                        for b in range(s)
-                    ]
-                    for i in range(r)
-                ]
-                for tp in range(S.nrows)
-            ]
-        )
+        flat = Mat._trusted(tuple(tuple(chain.from_iterable(layer)) for layer in self.entries))
+        return Bilinear(tuple(row[i * s:(i + 1) * s] for i in range(r)) for row in (S @ flat).rows)
 
     def __repr__(self) -> str:
         return f"Bilinear(shape={self.shape})"

@@ -42,6 +42,7 @@ from .errors import (
     BaseMismatch,
     ConstraintViolated,
     DimMismatch,
+    SingularMatrix,
     SpaceMismatch,
     ZeroForm,
 )
@@ -397,11 +398,14 @@ def phase_kappa(q: ReducedCovector) -> ReducedCovector:
 # ---------------------------------------------------------------------------
 
 
-def is_adapted(bundle: TrivialBispecial, mat: Mat) -> bool:
-    """A hull basis change is adapted when it fixes the v-row and alpha-column,
-    which is exactly what preserves the normal form (and hence tau)."""
+_NOT_ADAPTED = "basis change does not preserve the normal form"
+
+
+def _fixes_normal_form(bundle: TrivialBispecial, mat: Mat) -> bool:
+    """Is ``mat`` a hull-sized square matrix that fixes the v-row and the
+    alpha-column?"""
     h = bundle.hull_dim
-    if mat.shape != (h, h) or not mat.is_invertible():
+    if mat.shape != (h, h):
         return False
     va, al = bundle.v_index, bundle.alpha_index
     row_ok = all(mat[va, j] == (1 if j == va else 0) for j in range(h))
@@ -409,14 +413,25 @@ def is_adapted(bundle: TrivialBispecial, mat: Mat) -> bool:
     return row_ok and col_ok
 
 
+def is_adapted(bundle: TrivialBispecial, mat: Mat) -> bool:
+    """A hull basis change is adapted when it is invertible and fixes the
+    v-row and alpha-column, which is exactly what preserves the normal form
+    (and hence tau)."""
+    return _fixes_normal_form(bundle, mat) and mat.is_invertible()
+
+
 def apply_adapted(w, mat: Mat):
     """Rewrite a point in the new coordinates: y transforms through the matrix,
     momenta through the inverse so the fiber pairing is preserved."""
     if isinstance(w, ReducedCovector):
         return ReducedCovector(apply_adapted(w.point, mat), w.mask)
-    if not is_adapted(w.bundle, mat):
-        raise ConstraintViolated("basis change does not preserve the normal form")
-    return replace(w, y=mat.vec_mul(w.y), pi=mat.inverse() @ w.pi)
+    if not _fixes_normal_form(w.bundle, mat):
+        raise ConstraintViolated(_NOT_ADAPTED)
+    try:
+        inverse = mat.inverse()
+    except SingularMatrix:
+        raise ConstraintViolated(_NOT_ADAPTED) from None
+    return replace(w, y=mat.vec_mul(w.y), pi=inverse @ w.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction as F
@@ -467,6 +468,153 @@ def test_bilinear_contractions_consistent():
 def test_bilinear_zero_annihilates():
     g = Bilinear.zero(2, 2, 2)
     assert g.apply(Vec.of(1, 2), Vec.of(3, 4)) == Vec.zero(2)
+
+
+class _LoopBilinear:
+    """The index loops ``Bilinear`` contracted with before it contracted
+    through ``Mat``: an oracle for its operations, their results' entry types
+    and their ``DimMismatch`` texts."""
+
+    def __init__(self, g):
+        self.entries, self.shape = g.entries, g.shape
+
+    def add(self, other):
+        if self.shape != other.shape:
+            raise DimMismatch(f"bilinear shapes {self.shape} vs {other.shape}")
+        return Bilinear(
+            tuple(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(l1, l2))
+                  for l1, l2 in zip(self.entries, other.entries))
+        )
+
+    def neg(self):
+        return Bilinear(tuple(tuple(tuple(-a for a in row) for row in layer) for layer in self.entries))
+
+    def scale(self, c):
+        return Bilinear(tuple(tuple(tuple(c * a for a in row) for row in layer) for layer in self.entries))
+
+    def apply(self, u, w):
+        k, r, s = self.shape
+        if u.dim != r or w.dim != s:
+            raise DimMismatch(f"bilinear {self.shape} applied to dims ({u.dim}, {w.dim})")
+        out = []
+        for t in range(k):
+            total = F(0)
+            for i in range(r):
+                for b in range(s):
+                    total = total + self.entries[t][i][b] * u[i] * w[b]
+            out.append(total)
+        return Vec(out)
+
+    def left_vec(self, u):
+        k, r, s = self.shape
+        if u.dim != r:
+            raise DimMismatch("left contraction dimension")
+        return Mat([[_generic_dot([self.entries[t][i][b] for i in range(r)], u) for b in range(s)] for t in range(k)])
+
+    def right_vec(self, w):
+        k, r, s = self.shape
+        if w.dim != s:
+            raise DimMismatch("right contraction dimension")
+        return Mat([[_generic_dot(self.entries[t][i], w) for i in range(r)] for t in range(k)])
+
+    def left_mat(self, A):
+        k, r, s = self.shape
+        if A.nrows != r:
+            raise DimMismatch("left matrix contraction dimension")
+        return Bilinear(
+            [[[_generic_dot([self.entries[t][i][b] for i in range(r)], A.col(ip)) for b in range(s)]
+              for ip in range(A.ncols)] for t in range(k)]
+        )
+
+    def right_mat(self, B):
+        k, r, s = self.shape
+        if B.nrows != s:
+            raise DimMismatch("right matrix contraction dimension")
+        return Bilinear(
+            [[[_generic_dot(self.entries[t][i], B.col(bp)) for bp in range(B.ncols)] for i in range(r)]
+             for t in range(k)]
+        )
+
+    def post(self, S):
+        k, r, s = self.shape
+        if S.ncols != k:
+            raise DimMismatch("output contraction dimension")
+        return Bilinear(
+            [[[_generic_dot([self.entries[t][i][b] for t in range(k)], S.rows[tp]) for b in range(s)]
+              for i in range(r)] for tp in range(S.nrows)]
+        )
+
+
+def _typed(x):
+    """A result as nested tuples of (entry, entry type), with its own type."""
+    if isinstance(x, Vec):
+        return Vec, tuple((e, type(e)) for e in x)
+    if isinstance(x, Mat):
+        return Mat, tuple(tuple((e, type(e)) for e in r) for r in x.rows)
+    return Bilinear, tuple(tuple(tuple((e, type(e)) for e in r) for r in layer) for layer in x.entries)
+
+
+def _outcome(op):
+    try:
+        return _typed(op())
+    except DimMismatch as e:
+        return "DimMismatch", str(e)
+
+
+def _draw_operands(rng, shape, entry):
+    """Operands for every ``Bilinear`` operation on ``shape``: mostly of the
+    matching dims, now and then one off, so the ``DimMismatch`` paths run."""
+    k, r, s = shape
+
+    def dim(n):
+        return n + 1 if rng.random() < 0.2 else n
+
+    def vec(n):
+        return Vec([entry() for _ in range(dim(n))])
+
+    def mat(n):
+        m = rng.randint(0, 3)
+        return Mat([[entry() for _ in range(m)] for _ in range(dim(n))])
+
+    other = shape if rng.random() < 0.8 else (k, r + 1, s)
+    cols = dim(k)
+    S = Mat([[entry() for _ in range(cols)] for _ in range(rng.randint(0, 3))])
+    return dict(
+        other=Bilinear([[[entry() for _ in range(other[2])] for _ in range(other[1])] for _ in range(other[0])]),
+        c=entry(), u=vec(r), w=vec(s), A=mat(r), B=mat(s), S=S,
+    )
+
+
+@pytest.mark.parametrize("kind", ["fraction", "poly"])
+@pytest.mark.parametrize("shape", [(k, r, s) for k in range(4) for r in range(4) for s in range(4)])
+def test_bilinear_operations_match_the_index_loops(shape, kind):
+    rng = random.Random(f"{shape}{kind}")
+
+    def fraction():
+        return F(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.8 else F(0)
+
+    def poly():
+        return Poly(2, {(rng.randint(0, 2), rng.randint(0, 2)): fraction() for _ in range(rng.randint(0, 3))})
+
+    entry = fraction if kind == "fraction" else lambda: poly() if rng.random() < 0.7 else fraction()
+    k, r, s = shape
+    for _ in range(6):
+        g = Bilinear([[[entry() for _ in range(s)] for _ in range(r)] for _ in range(k)])
+        loops, ops = _LoopBilinear(g), _draw_operands(rng, shape, entry)
+        u, w, A, B, S, c, other = (ops[n] for n in ("u", "w", "A", "B", "S", "c", "other"))
+        pairs = [
+            (lambda: g + other, lambda: loops.add(other)),
+            (lambda: -g, loops.neg),
+            (lambda: g.scale(c), lambda: loops.scale(c)),
+            (lambda: g.apply(u, w), lambda: loops.apply(u, w)),
+            (lambda: g.left_vec(u), lambda: loops.left_vec(u)),
+            (lambda: g.right_vec(w), lambda: loops.right_vec(w)),
+            (lambda: g.left_mat(A), lambda: loops.left_mat(A)),
+            (lambda: g.right_mat(B), lambda: loops.right_mat(B)),
+            (lambda: g.post(S), lambda: loops.post(S)),
+        ]
+        for new, old in pairs:
+            assert _outcome(new) == _outcome(old)
 
 
 # ---------------------------------------------------------------- polynomials

@@ -13,6 +13,10 @@ trial points from :mod:`daffine.randgen`, so their goldens pin the sampled
 streams.  The interchange and HVH suites and ``build --op classify`` run on
 ``Vec``/``Mat`` arithmetic (products, determinants, inverses, ``rref``), so
 their goldens guard the rational kernel in :mod:`daffine.exact.linalg`.
+``build --op model`` and the model-hull suite on ``special_double`` take the
+kernel of a double block's side functionals (``rref`` on the integer
+kernel), and the phase, contact, bbl, affctg, bbln and sides builds pin the
+constructions of the phase tower and of the n-fold side bases.
 """
 
 import json
@@ -39,6 +43,12 @@ COMMANDS = {
     "build-model": ["build", "--op", "model"],
     "build-tbar": ["build", "--op", "tbar"],
     "build-classify": ["build", "--op", "classify"],
+    "build-phase": ["build", "--op", "phase"],
+    "build-contact": ["build", "--op", "contact"],
+    "build-bbl": ["build", "--op", "bbl"],
+    "build-affctg": ["build", "--op", "affctg"],
+    "build-bbln": ["build", "--op", "bbln"],
+    "build-sides": ["build", "--op", "sides"],
 }
 FORMATS = {"txt": "text", "json": "json"}
 

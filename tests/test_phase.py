@@ -477,6 +477,16 @@ def test_adapted_pattern_is_enforced():
         apply_adapted(pt, bad)
 
 
+def test_singular_change_that_fixes_the_normal_form_is_refused():
+    h = E22.hull_dim
+    zeroed = next(i for i in range(h) if i not in (E22.v_index, E22.alpha_index))
+    singular = Mat(tuple(int(i == j != zeroed) for j in range(h)) for i in range(h))
+    assert not is_adapted(E22, singular)
+    pt = rand_cotangent(random.Random(24), E22)
+    with pytest.raises(ConstraintViolated, match="^basis change does not preserve the normal form$"):
+        apply_adapted(pt, singular)
+
+
 def test_adapted_changes_preserve_the_fiber_pairing():
     rng = random.Random(22)
     pt = rand_cotangent(rng, E22)
