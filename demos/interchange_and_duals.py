@@ -74,7 +74,7 @@ print("shift psi by -l1:", pairing(phi, psi.shift_core(-a.l1), a), "(= value + 1
 iso = hvh_iso(a)
 target = adjoint(flip(a))
 print("\ntriple dual side blocks are identities:",
-      iso.a_mat == Mat.identity(d.n2) and iso.b_mat == Mat.identity(d.n1))
+      iso.alpha == Mat.identity(d.n2) and iso.beta == Mat.identity(d.n1))
 print("core block is minus the identity:",
-      iso.sigma_mat == Mat.identity(d.n3).scale(-1))
+      iso.sigma == Mat.identity(d.n3).scale(-1))
 print("target marked vector:", fmt(target.sigma), "= -sigma")

@@ -9,6 +9,11 @@ coefficient functions in the base coordinates x1..xm:
     c' = gamma00(x) + gamma_y(x) y + gamma_z(x) z
          + gamma_yz(x)(y, z) + sigma(x) c          (core)
 
+Over each base point this is a double affine morphism of the fibers, so a
+transition carries DoubleMorphism's nine blocks under the same names and uses
+its block algebra: one shape check (blocks_fit), one composite formula
+(composite_blocks, applied after the second transition is pulled back through
+the first base map), and evaluation at a base point (as_double_morphism).
 This shape is closed under composition and (for unit-determinant blocks)
 inversion, which is what makes exact cocycle checking possible.  An atlas is
 a labeled overlap graph carrying such transitions; cocycle_check verifies
@@ -31,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .double import DecomposedDouble, DoubleMorphism
+from .double import DecomposedDouble, DoubleMorphism, blocks_fit, composite_blocks
 from .errors import (
     ConstraintViolated,
     DaffineError,
@@ -122,28 +128,15 @@ class TransitionData:
                 object.__setattr__(self, name, fmap(lift, block))
         object.__setattr__(self, "samples", tuple(self.samples))
 
-        n1, n2, n3 = self.fiber_dims
-        ok = (
-            self.alpha.nrows == n1
-            and (n1 == 0 or self.alpha.ncols == n1)
-            and self.beta.nrows == n2
-            and (n2 == 0 or self.beta.ncols == n2)
-            and self.sigma.nrows == n3
-            and (n3 == 0 or self.sigma.ncols == n3)
-            and self.gamma_y.nrows == n3
-            and (n3 == 0 or self.gamma_y.ncols == n1)
-            and self.gamma_z.nrows == n3
-            and (n3 == 0 or self.gamma_z.ncols == n2)
-        )
-        bk, br, bs = self.gamma_yz.shape
-        ok = ok and bk == n3 and (n3 == 0 or (br == n1 and (n1 == 0 or bs == n2)))
-        if not ok:
+        dims = self.fiber_dims
+        if not blocks_fit(dims, dims, self):
             raise DimMismatch("transition blocks have inconsistent fiber dimensions")
         for s in self.samples:
             if s.dim != m:
                 raise DimMismatch("sample point dimension does not match the base")
+            at = _at(s)
             for label, mat in (("alpha", self.alpha), ("beta", self.beta), ("sigma", self.sigma)):
-                if not _eval_mat(mat, s).is_invertible():
+                if not _mmap(at, mat).is_invertible():
                     raise SingularMatrix(
                         f"{label} block is singular at sample point {tuple(s)}"
                     )
@@ -157,54 +150,26 @@ class TransitionData:
         return (self.alpha0.dim, self.beta0.dim, self.gamma00.dim)
 
 
-def _eval_mat(m: Mat, x: Vec) -> Mat:
-    return Mat(
-        tuple(e.eval(list(x)) if isinstance(e, Poly) else Fraction(e) for e in row)
-        for row in m.rows
-    )
-
-
-def _eval_vec(v: Vec, x: Vec) -> Vec:
-    return Vec(e.eval(list(x)) if isinstance(e, Poly) else Fraction(e) for e in v)
-
-
-def _eval_bil(b: Bilinear, x: Vec) -> Bilinear:
-    return _bmap(lambda e: e.eval(list(x)) if isinstance(e, Poly) else Fraction(e), b)
+def _at(x: Vec) -> Callable[[Poly], Fraction]:
+    """Evaluation of a lifted block entry at the base point x."""
+    point = list(x)
+    return lambda e: e.eval(point)
 
 
 def identity_transition(m: int, n1: int, n2: int, n3: int, samples=()) -> TransitionData:
+    ident = DoubleMorphism.identity(DecomposedDouble(n1, n2, n3))
     return TransitionData(
         base_map=BaseMap.identity(m),
-        alpha0=Vec.zero(n1),
-        alpha=Mat.identity(n1),
-        beta0=Vec.zero(n2),
-        beta=Mat.identity(n2),
-        gamma00=Vec.zero(n3),
-        gamma_y=Mat.zero(n3, n1),
-        gamma_z=Mat.zero(n3, n2),
-        gamma_yz=Bilinear.zero(n3, n1, n2),
-        sigma=Mat.identity(n3),
         samples=tuple(samples),
+        **{name: getattr(ident, name) for name in _BLOCK_ORDER},
     )
 
 
 def as_double_morphism(t: TransitionData, x: Vec) -> DoubleMorphism:
     """The fiber map of the transition over the base point x."""
-    n1, n2, n3 = t.fiber_dims
-    d = DecomposedDouble(n1, n2, n3)
-    return DoubleMorphism(
-        d,
-        d,
-        a_mat=_eval_mat(t.alpha, x),
-        b_mat=_eval_mat(t.beta, x),
-        sigma_mat=_eval_mat(t.sigma, x),
-        gamma_bil=_eval_bil(t.gamma_yz, x),
-        alpha0=_eval_vec(t.alpha0, x),
-        beta0=_eval_vec(t.beta0, x),
-        gamma00=_eval_vec(t.gamma00, x),
-        gamma_y=_eval_mat(t.gamma_y, x),
-        gamma_z=_eval_mat(t.gamma_z, x),
-    )
+    d = DecomposedDouble(*t.fiber_dims)
+    at = _at(x)
+    return DoubleMorphism(d, d, **{name: fmap(at, getattr(t, name)) for name, _, fmap in _BLOCKS})
 
 
 def apply_transition(t: TransitionData, x: Vec, y: Vec, z: Vec, c: Vec):
@@ -219,33 +184,17 @@ def compose(first: TransitionData, second: TransitionData) -> TransitionData:
     """The transition second(first(-)), with all blocks expanded symbolically.
 
     The coefficient functions of `second` live on the intermediate chart, so
-    they are pulled back through the base map of `first` before combining.
+    they are pulled back through the base map of `first` before the blocks
+    combine by DoubleMorphism's composite formula.
     """
     if first.base_dim != second.base_dim or first.fiber_dims != second.fiber_dims:
         raise DimMismatch("transitions are not composable")
     pull = first.base_map.pullback
-    a0_2, a_2 = _vmap(pull, second.alpha0), _mmap(pull, second.alpha)
-    b0_2, b_2 = _vmap(pull, second.beta0), _mmap(pull, second.beta)
-    g00_2, gy_2 = _vmap(pull, second.gamma00), _mmap(pull, second.gamma_y)
-    gz_2, gyz_2 = _mmap(pull, second.gamma_z), _bmap(pull, second.gamma_yz)
-    s_2 = _mmap(pull, second.sigma)
-    f = first
+    pulled = SimpleNamespace(**{name: fmap(pull, getattr(second, name)) for name, _, fmap in _BLOCKS})
     return TransitionData(
-        base_map=f.base_map.then(second.base_map),
-        alpha0=a0_2 + a_2 @ f.alpha0,
-        alpha=a_2 @ f.alpha,
-        beta0=b0_2 + b_2 @ f.beta0,
-        beta=b_2 @ f.beta,
-        gamma00=g00_2
-        + gy_2 @ f.alpha0
-        + gz_2 @ f.beta0
-        + gyz_2.apply(f.alpha0, f.beta0)
-        + s_2 @ f.gamma00,
-        gamma_y=gy_2 @ f.alpha + gyz_2.right_vec(f.beta0) @ f.alpha + s_2 @ f.gamma_y,
-        gamma_z=gz_2 @ f.beta + gyz_2.left_vec(f.alpha0) @ f.beta + s_2 @ f.gamma_z,
-        gamma_yz=gyz_2.left_mat(f.alpha).right_mat(f.beta) + f.gamma_yz.post(s_2),
-        sigma=s_2 @ f.sigma,
-        samples=f.samples,
+        base_map=first.base_map.then(second.base_map),
+        samples=first.samples,
+        **composite_blocks(first, pulled),
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -220,11 +221,14 @@ def hull(a: DoubleAffine) -> Hull:
 # ---------------------------------------------------------------------------
 
 
+# Memoised: every evaluation and pairing compares owners against a dual.
+@cache
 def vertical_dual(d: DecomposedDouble) -> DecomposedDouble:
     """Dual over the y-projection: sides (V1, V3*), core V2*."""
     return DecomposedDouble(d.n1, d.n3, d.n2)
 
 
+@cache
 def horizontal_dual(d: DecomposedDouble) -> DecomposedDouble:
     """Dual over the z-projection: sides (V3*, V2), core V1*."""
     return DecomposedDouble(d.n3, d.n2, d.n1)
@@ -326,20 +330,65 @@ def adjoint(a: DoubleAffine) -> DoubleAffine:
     return DoubleAffine(a.space, a.l1, a.l2, -a.sigma)
 
 
+def _fits(m: Mat, rows: int, cols: int) -> bool:
+    # A matrix without rows carries no column count, so its columns go unchecked.
+    return m.nrows == rows and (rows == 0 or m.ncols == cols)
+
+
+def blocks_fit(src: Tuple[int, int, int], dst: Tuple[int, int, int], b) -> bool:
+    """Do the nine blocks of b (any object carrying them by name) map a double
+    space of dims src to one of dims dst?"""
+    s1, s2, s3 = src
+    d1, d2, d3 = dst
+    bk, br, bs = b.gamma_yz.shape
+    return (
+        (b.alpha0.dim, b.beta0.dim, b.gamma00.dim) == dst
+        and _fits(b.alpha, d1, s1)
+        and _fits(b.beta, d2, s2)
+        and _fits(b.sigma, d3, s3)
+        and _fits(b.gamma_y, d3, s1)
+        and _fits(b.gamma_z, d3, s2)
+        and bk == d3
+        and (d3 == 0 or (br == s1 and (s1 == 0 or bs == s2)))
+    )
+
+
+def composite_blocks(f, g) -> dict:
+    """The nine blocks of g after f, by name; f and g are any objects carrying them.
+
+    The entries may be rationals or polynomials; the formula is the same.
+    """
+    return dict(
+        alpha0=g.alpha0 + g.alpha @ f.alpha0,
+        alpha=g.alpha @ f.alpha,
+        beta0=g.beta0 + g.beta @ f.beta0,
+        beta=g.beta @ f.beta,
+        gamma00=g.gamma00
+        + g.gamma_y @ f.alpha0
+        + g.gamma_z @ f.beta0
+        + g.gamma_yz.apply(f.alpha0, f.beta0)
+        + g.sigma @ f.gamma00,
+        gamma_y=g.gamma_y @ f.alpha + g.gamma_yz.right_vec(f.beta0) @ f.alpha + g.sigma @ f.gamma_y,
+        gamma_z=g.gamma_z @ f.beta + g.gamma_yz.left_vec(f.alpha0) @ f.beta + g.sigma @ f.gamma_z,
+        gamma_yz=g.gamma_yz.left_mat(f.alpha).right_mat(f.beta) + f.gamma_yz.post(g.sigma),
+        sigma=g.sigma @ f.sigma,
+    )
+
+
 @dataclass(frozen=True)
 class DoubleMorphism:
     """A block map between decomposed doubles, affine in each slot.
 
-    y' = alpha0 + a_mat y;  z' = beta0 + b_mat z;
-    c' = gamma00 + gamma_y y + gamma_z z + gamma_bil(y, z) + sigma_mat c.
+    y' = alpha0 + alpha y;  z' = beta0 + beta z;
+    c' = gamma00 + gamma_y y + gamma_z z + gamma_yz(y, z) + sigma c.
     """
 
     src: DecomposedDouble
     dst: DecomposedDouble
-    a_mat: Mat
-    b_mat: Mat
-    sigma_mat: Mat
-    gamma_bil: Bilinear
+    alpha: Mat
+    beta: Mat
+    sigma: Mat
+    gamma_yz: Bilinear
     alpha0: Vec
     beta0: Vec
     gamma00: Vec
@@ -347,41 +396,26 @@ class DoubleMorphism:
     gamma_z: Mat
 
     def __post_init__(self):
-        s, d = self.src, self.dst
-        bk, br, bs = self.gamma_bil.shape
-        bil_ok = bk == d.n3 and (d.n3 == 0 or (br == s.n1 and (s.n1 == 0 or bs == s.n2)))
-        mat_ok = lambda m, r, c: m.nrows == r and (r == 0 or m.ncols == c)
-        checks = (
-            mat_ok(self.a_mat, d.n1, s.n1),
-            mat_ok(self.b_mat, d.n2, s.n2),
-            mat_ok(self.sigma_mat, d.n3, s.n3),
-            bil_ok,
-            self.alpha0.dim == d.n1,
-            self.beta0.dim == d.n2,
-            self.gamma00.dim == d.n3,
-            mat_ok(self.gamma_y, d.n3, s.n1),
-            mat_ok(self.gamma_z, d.n3, s.n2),
-        )
-        if not all(checks):
+        if not blocks_fit(self.src.dims, self.dst.dims, self):
             raise DimMismatch("morphism blocks do not match the given spaces")
 
     @staticmethod
     def linear(
         src: DecomposedDouble,
         dst: DecomposedDouble,
-        a_mat: Mat,
-        b_mat: Mat,
-        sigma_mat: Mat,
-        gamma_bil: Optional[Bilinear] = None,
+        alpha: Mat,
+        beta: Mat,
+        sigma: Mat,
+        gamma_yz: Optional[Bilinear] = None,
     ) -> "DoubleMorphism":
         """A pure double-vector morphism: all affine parts vanish."""
         return DoubleMorphism(
             src,
             dst,
-            a_mat,
-            b_mat,
-            sigma_mat,
-            gamma_bil if gamma_bil is not None else Bilinear.zero(dst.n3, src.n1, src.n2),
+            alpha,
+            beta,
+            sigma,
+            gamma_yz if gamma_yz is not None else Bilinear.zero(dst.n3, src.n1, src.n2),
             Vec.zero(dst.n1),
             Vec.zero(dst.n2),
             Vec.zero(dst.n3),
@@ -406,44 +440,22 @@ class DoubleMorphism:
     def apply(self, p: DoublePoint) -> DoublePoint:
         if p.owner != self.src:
             raise SpaceMismatch("point is not in the source space")
-        y = self.alpha0 + self.a_mat @ p.y
-        z = self.beta0 + self.b_mat @ p.z
+        y = self.alpha0 + self.alpha @ p.y
+        z = self.beta0 + self.beta @ p.z
         c = (
             self.gamma00
             + self.gamma_y @ p.y
             + self.gamma_z @ p.z
-            + self.gamma_bil.apply(p.y, p.z)
-            + self.sigma_mat @ p.c
+            + self.gamma_yz.apply(p.y, p.z)
+            + self.sigma @ p.c
         )
         return DoublePoint(self.dst, y, z, c)
 
     def then(self, g: "DoubleMorphism") -> "DoubleMorphism":
-        """The composite g(self(-)), with all blocks expanded explicitly."""
+        """The composite g(self(-))."""
         if g.src != self.dst:
             raise SpaceMismatch("composition mismatch")
-        f = self
-        return DoubleMorphism(
-            f.src,
-            g.dst,
-            a_mat=g.a_mat @ f.a_mat,
-            b_mat=g.b_mat @ f.b_mat,
-            sigma_mat=g.sigma_mat @ f.sigma_mat,
-            gamma_bil=g.gamma_bil.left_mat(f.a_mat).right_mat(f.b_mat)
-            + f.gamma_bil.post(g.sigma_mat),
-            alpha0=g.alpha0 + g.a_mat @ f.alpha0,
-            beta0=g.beta0 + g.b_mat @ f.beta0,
-            gamma00=g.gamma00
-            + g.gamma_y @ f.alpha0
-            + g.gamma_z @ f.beta0
-            + g.gamma_bil.apply(f.alpha0, f.beta0)
-            + g.sigma_mat @ f.gamma00,
-            gamma_y=g.gamma_y @ f.a_mat
-            + g.gamma_bil.right_vec(f.beta0) @ f.a_mat
-            + g.sigma_mat @ f.gamma_y,
-            gamma_z=g.gamma_z @ f.b_mat
-            + g.gamma_bil.left_vec(f.alpha0) @ f.b_mat
-            + g.sigma_mat @ f.gamma_z,
-        )
+        return DoubleMorphism(self.src, g.dst, **composite_blocks(self, g))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +524,7 @@ def hvh_iso(a: DoubleAffine) -> DoubleMorphism:
         -Mat.identity(n3),
     )
     # The marked data must transport correctly through the comparison map.
-    if iso.sigma_mat @ ahvh.sigma != target.sigma:
+    if iso.sigma @ ahvh.sigma != target.sigma:
         raise ConstraintViolated("triple-dual comparison missed the marked core vector")
     return iso
 

@@ -265,21 +265,29 @@ def phasep_double_affine(bundle: TrivialBispecial, omega=None) -> DoubleAffine:
     return DoubleAffine(affctg_double(bundle), l1, l2, sigma)
 
 
-def bbl_double_affine(bundle: TrivialBispecial) -> DoubleAffine:
+def bbl_double(bundle: TrivialBispecial) -> DecomposedDouble:
     h, m = bundle.hull_dim, bundle.base_dim
-    d = DecomposedDouble(h, h, m)
+    return DecomposedDouble(h, h, m)
+
+
+def bbl_double_affine(bundle: TrivialBispecial) -> DoubleAffine:
+    h = bundle.hull_dim
     return DoubleAffine(
-        d, Vec.unit(h, bundle.alpha_index), Vec.unit(h, bundle.v_index), None
+        bbl_double(bundle), Vec.unit(h, bundle.alpha_index), Vec.unit(h, bundle.v_index), None
     )
+
+
+def contact_double(bundle: TrivialBispecial) -> DecomposedDouble:
+    h, m = bundle.hull_dim, bundle.base_dim
+    return DecomposedDouble(h - 1, h - 1, m + 1)
 
 
 def contact_double_affine(bundle: TrivialBispecial) -> DoubleAffine:
     """Contact structure: sides are both reduced blocks, the core gains the
     v-slot coordinate as a final entry, and that direction is the special one."""
-    h, m = bundle.hull_dim, bundle.base_dim
     l1, l2 = side_functionals(bundle)
-    d = DecomposedDouble(h - 1, h - 1, m + 1)
-    return DoubleAffine(d, l1, l2, Vec.unit(m + 1, m))
+    m = bundle.base_dim
+    return DoubleAffine(contact_double(bundle), l1, l2, Vec.unit(m + 1, m))
 
 
 def to_double_point(ps: PhaseSet, w: ReducedCovector) -> DoublePoint:
@@ -288,12 +296,12 @@ def to_double_point(ps: PhaseSet, w: ReducedCovector) -> DoublePoint:
         raise ConstraintViolated(f"point is not in the {ps.kind} set")
     b, p = ps.bundle, w.point
     if ps.kind == BBL:
-        return bbl_double_affine(b).space.point(p.y, p.pi, p.p)
+        return bbl_double(b).point(p.y, p.pi, p.p)
     y = _drop(p.y, b.v_index)
     z = _drop(p.pi, b.alpha_index)
     if ps.kind == CONTACT:
         core = Vec(list(p.p) + [p.y[b.v_index]])
-        return contact_double_affine(b).space.point(y, z, core)
+        return contact_double(b).point(y, z, core)
     return affctg_double(b).point(y, z, p.p)
 
 

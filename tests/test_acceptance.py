@@ -206,10 +206,10 @@ def test_criterion_06_triple_dual_is_the_flipped_adjoint():
                     iso = hvh_iso(a)
                     target = adjoint(flip(a))
                     assert iso.dst == target.space
-                    assert iso.a_mat == Mat.identity(n2)
-                    assert iso.b_mat == Mat.identity(n1)
-                    assert iso.sigma_mat == -Mat.identity(n3)
-                    assert iso.sigma_mat @ a.sigma == target.sigma
+                    assert iso.alpha == Mat.identity(n2)
+                    assert iso.beta == Mat.identity(n1)
+                    assert iso.sigma == -Mat.identity(n3)
+                    assert iso.sigma @ a.sigma == target.sigma
 
 
 def test_criterion_07_level_set_verdicts():

@@ -15,6 +15,7 @@ import pytest
 
 import daffine.atlas as atlas_module
 from daffine import dsl, randgen
+from daffine.double import DecomposedDouble, DoubleMorphism
 from daffine.atlas import (
     Atlas,
     TransitionData,
@@ -318,6 +319,63 @@ def test_pointwise_fiber_maps_track_composition():
         lhs = as_double_morphism(compose(t1, t2), x)
         rhs = as_double_morphism(t1, x).then(as_double_morphism(t2, t1.base_map.apply(x)))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 1)])
+def test_composite_maps_points_like_its_two_steps(dims):
+    """An oracle that does not go through the composite formula: map a point
+    through each transition in turn."""
+    rng = random.Random(sum(dims) * 31 + dims[0])
+    t1 = randgen.rand_transition(rng, 2, *dims)
+    t2 = randgen.rand_transition(rng, 2, *dims)
+    t12 = compose(t1, t2)
+    for _ in range(4):
+        x, y, z, c = (randgen.rand_vec(rng, n) for n in (2, *dims))
+        assert apply_transition(t12, x, y, z, c) == apply_transition(
+            t2, *apply_transition(t1, x, y, z, c)
+        )
+
+
+def _nested(block) -> list:
+    if isinstance(block, Vec):
+        return list(block)
+    if isinstance(block, Mat):
+        return [list(row) for row in block.rows]
+    return [[list(row) for row in layer] for layer in block.entries]
+
+
+def _zeros_like(x):
+    return [_zeros_like(e) for e in x] if isinstance(x, list) else 0
+
+
+def _grown(nested: list, axis: int) -> list:
+    """One more zero entry along the axis (0: rows or layers, then columns)."""
+    if axis == 0:
+        return nested + [_zeros_like(nested[0])]
+    return [_grown(x, axis - 1) for x in nested]
+
+
+_BLOCK_AXES = [
+    (name, axis)
+    for name, naxes in (
+        ("alpha0", 1), ("alpha", 2), ("beta0", 1), ("beta", 2), ("gamma00", 1),
+        ("gamma_y", 2), ("gamma_z", 2), ("gamma_yz", 3), ("sigma", 2),
+    )
+    for axis in range(naxes)
+]
+
+
+@pytest.mark.parametrize("name, axis", _BLOCK_AXES)
+def test_a_block_one_row_or_column_too_big_is_rejected(name, axis):
+    d = DecomposedDouble(1, 2, 3)
+    for value, message in (
+        (DoubleMorphism.identity(d), "morphism blocks do not match the given spaces"),
+        (identity_transition(2, *d.dims), "transition blocks have inconsistent fiber dimensions"),
+    ):
+        block = getattr(value, name)
+        grown = type(block)(_grown(_nested(block), axis))
+        with pytest.raises(DimMismatch, match=f"^{message}$"):
+            replace(value, **{name: grown})
 
 
 def test_apply_transition_round_trip():

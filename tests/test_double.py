@@ -34,6 +34,7 @@ from daffine.double import (
 from daffine.errors import (
     BaseMismatch,
     ConstraintViolated,
+    DimMismatch,
     FiberMismatch,
     NotSpecial,
     ZeroFunctional,
@@ -325,6 +326,23 @@ def test_pairing_requires_common_core_covector():
         pairing(phi, psi, A111)
 
 
+def test_wrong_owner_arguments_raise_their_texts():
+    d = DecomposedDouble(1, 2, 3)
+    a = DoubleAffine(d, Vec.of(1), Vec.of(1, 0))
+    x = d.zero_point()
+    phi = vertical_dual(d).zero_point()
+    psi = horizontal_dual(d).zero_point()
+    for wrong in (x, psi):
+        with pytest.raises(DimMismatch, match="^first argument is not a vertical-dual point$"):
+            vd_eval(wrong, x)
+    for wrong in (x, phi):
+        with pytest.raises(DimMismatch, match="^first argument is not a horizontal-dual point$"):
+            hd_eval(wrong, x)
+    for args in ((psi, phi), (phi, phi), (psi, psi), (x, psi)):
+        with pytest.raises(DimMismatch, match="^pairing arguments do not match the dual spaces$"):
+            pairing(*args, a)
+
+
 def _special_dual_points(rng, a: DoubleAffine):
     """Random points of the special vertical and horizontal duals, over one core covector."""
     phi_cov = point_on(a.sigma, rng)  # gamma with gamma(sigma) = 1
@@ -403,10 +421,10 @@ def rand_morphism(rng, src: DecomposedDouble, dst: DecomposedDouble) -> DoubleMo
     return DoubleMorphism(
         src,
         dst,
-        a_mat=mat(dst.n1, src.n1),
-        b_mat=mat(dst.n2, src.n2),
-        sigma_mat=mat(dst.n3, src.n3),
-        gamma_bil=bil,
+        alpha=mat(dst.n1, src.n1),
+        beta=mat(dst.n2, src.n2),
+        sigma=mat(dst.n3, src.n3),
+        gamma_yz=bil,
         alpha0=rand_vec(rng, dst.n1),
         beta0=rand_vec(rng, dst.n2),
         gamma00=rand_vec(rng, dst.n3),
@@ -473,11 +491,11 @@ def test_hvh_iso_shape_and_sign():
     iso = hvh_iso(A232)
     n1, n2, n3 = D232.dims
     assert iso.is_linear
-    assert iso.a_mat == Mat.identity(n2)
-    assert iso.b_mat == Mat.identity(n1)
-    assert iso.sigma_mat == -Mat.identity(n3)
+    assert iso.alpha == Mat.identity(n2)
+    assert iso.beta == Mat.identity(n1)
+    assert iso.sigma == -Mat.identity(n3)
     target = adjoint(flip(A232))
-    assert iso.sigma_mat @ A232.sigma == target.sigma
+    assert iso.sigma @ A232.sigma == target.sigma
 
 
 def test_hvh_iso_exhaustive_small_dims():
@@ -487,7 +505,7 @@ def test_hvh_iso_exhaustive_small_dims():
             for n3 in (1, 2, 3):
                 a = rand_double_affine(rng, n1, n2, n3)
                 iso = hvh_iso(a)
-                assert iso.sigma_mat == -Mat.identity(n3)
+                assert iso.sigma == -Mat.identity(n3)
 
 
 def test_hvh_sign_is_forced():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from daffine.affine import BispecialRep, special_dual
-from daffine.atlas import _eval_bil, _eval_mat, _eval_vec, apply_transition
+from daffine.atlas import apply_transition, as_double_morphism
 from daffine.double import (
     DecomposedDouble,
     DoubleAffine,
@@ -104,11 +104,12 @@ def graded_fiber_map(t, x):
     yv = [gvar(total, space.offset_of((1, 0)) + i) for i in range(n1)]
     zv = [gvar(total, space.offset_of((0, 1)) + b) for b in range(n2)]
     cv = [gvar(total, space.offset_of((1, 1)) + w) for w in range(n3)]
-    a0, A = _eval_vec(t.alpha0, x), _eval_mat(t.alpha, x)
-    b0, B = _eval_vec(t.beta0, x), _eval_mat(t.beta, x)
-    g0 = _eval_vec(t.gamma00, x)
-    Gy, Gz = _eval_mat(t.gamma_y, x), _eval_mat(t.gamma_z, x)
-    Gyz, S = _eval_bil(t.gamma_yz, x), _eval_mat(t.sigma, x)
+    f = as_double_morphism(t, x)
+    a0, A = f.alpha0, f.alpha
+    b0, B = f.beta0, f.beta
+    g0 = f.gamma00
+    Gy, Gz = f.gamma_y, f.gamma_z
+    Gyz, S = f.gamma_yz, f.sigma
 
     y_rows = []
     for i in range(n1):
