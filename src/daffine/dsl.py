@@ -11,10 +11,10 @@ coefficient polynomials in x1..xm, keyed ``src.dst.field``), ``special_bundle``
 bitstrings, functionals keyed by unit degree, optional sigma).
 
 Values are rationals, identifiers, possibly-nested bracket lists, or
-polynomial expressions over x1, x2, ... with rational coefficients.  Parsing
-normalises each block to a canonical field order and collapses constant
-polynomial expressions to rationals, so printing and reparsing a document
-reproduces it exactly.
+polynomial expressions over x1 .. x100 (``MAX_VARIABLE``) with rational
+coefficients, expanded by ``exact.Poly``.  Parsing normalises each block to a
+canonical field order and collapses constant polynomial expressions to
+rationals, so printing and reparsing a document reproduces it exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from math import comb
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -46,83 +46,42 @@ BLOCK_KINDS = ("space", "double", "atlas", "special_bundle", "graded")
 _VAR_RE = re.compile(r"^x([1-9][0-9]*)$")
 _BITS_RE = re.compile(r"^[01]+$")
 
-Monomial = Tuple[Tuple[int, int], ...]  # sorted ((var, exponent), ...)
-
 
 @dataclass(frozen=True)
 class PolyValue:
-    """A non-constant polynomial literal, agnostic of the variable count."""
+    """A non-constant polynomial literal: one canonical ``Poly`` in as many
+    variables as the highest one it uses, so equal literals are equal values."""
 
-    terms: Tuple[Tuple[Monomial, Fraction], ...]
+    poly: Poly
 
     def to_poly(self, nvars: int) -> Poly:
-        exps = {}
-        for mono, c in self.terms:
-            dense = [0] * nvars
-            for v, e in mono:
-                if v >= nvars:
-                    raise DimMismatch(
-                        f"polynomial uses x{v + 1} but only {nvars} base variables exist"
-                    )
-                dense[v] = e
-            exps[tuple(dense)] = c
-        # ``_canon`` made the monomials distinct and the coefficients nonzero.
-        return Poly._from_fractions(nvars, exps)
+        """The literal as a polynomial in ``nvars`` variables."""
+        p = self.poly
+        if p.nvars > nvars:
+            v = next(v for mono, _ in self._terms() for v, _ in mono if v >= nvars)
+            raise DimMismatch(f"polynomial uses x{v + 1} but only {nvars} base variables exist")
+        pad = (0,) * (nvars - p.nvars)
+        return Poly._make(nvars, {e + pad: c for e, c in p.num.items()}, p.den) if pad else p
+
+    def _terms(self):
+        """``(((var, exponent), ...), coefficient)`` pairs in printed order:
+        descending degree, then monomial."""
+        terms = [
+            (tuple((v, e) for v, e in enumerate(exp) if e), c)
+            for exp, c in self.poly.terms.items()
+        ]
+        return sorted(terms, key=lambda t: (-sum(e for _, e in t[0]), t[0]))
 
     def __str__(self) -> str:
-        parts = []
-        for idx, (mono, c) in enumerate(self.terms):
-            mag = abs(c)
-            if mono:
-                body = "*".join(
-                    f"x{v + 1}" + (f"^{e}" if e > 1 else "") for v, e in mono
-                )
-                piece = body if mag == 1 else f"{mag}*{body}"
-            else:
-                piece = str(mag)
-            if idx == 0:
-                parts.append(piece if c > 0 else f"-{piece}")
-            else:
-                parts.append((" + " if c > 0 else " - ") + piece)
-        return "".join(parts)
+        text = ""
+        for mono, c in self._terms():
+            mag, body = abs(c), "*".join(f"x{v + 1}" + (f"^{e}" if e > 1 else "") for v, e in mono)
+            piece = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+            text += (" - " if c < 0 else " + ") + piece
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 Value = Union[Fraction, str, Tuple["Value", ...], PolyValue]
-
-
-def _term_key(item):
-    mono, _ = item
-    return (-sum(e for _, e in mono), mono)
-
-
-def _canon(terms: Dict[Monomial, Fraction]) -> Value:
-    kept = {m: c for m, c in terms.items() if c}
-    if not kept:
-        return Fraction(0)
-    if len(kept) == 1 and () in kept:
-        return kept[()]
-    return PolyValue(tuple(sorted(kept.items(), key=_term_key)))
-
-
-def _pmul(a, b):
-    out: Dict[Monomial, Fraction] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            merged = dict(m1)
-            for v, e in m2:
-                merged[v] = merged.get(v, 0) + e
-            key = tuple(sorted(merged.items()))
-            # a variable's coefficient is the shared _ONE: skip multiplying by it
-            c = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
-            out[key] = out[key] + c if key in out else c
-    return out
-
-
-def _ppow(a, k: int):
-    if len(a) == 1:  # a monomial: scale its exponents
-        ((mono, c),) = a.items()
-        return {tuple((v, e * k) for v, e in mono) if k else (): c if c is _ONE else c**k}
-    return reduce(_pmul, [a] * k, {(): _ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +98,15 @@ MAX_NESTING = 100
 MAX_EXPONENT = 100
 """Largest exponent of a power; ``x1^a^b`` is ``x1^(a*b)`` and counts as ``a*b``."""
 
+MAX_VARIABLE = 100
+"""Highest variable a polynomial may use: ``x100``; ``x101`` in a polynomial is
+a ParseError at its token.  Names that only look like variables are not bounded."""
+
 MAX_TERMS = 2000
 """Most terms a product or power may expand to, bounded before expanding:
 ``p*q`` by the product of the term counts, ``p^k`` of t terms by the number
-of degree-k monomials in t variables, C(t+k-1, k)."""
+of degree-k monomials in t variables, C(t+k-1, k).  A monomial factor is one
+term; a parenthesised one has the terms of its expansion, zeros dropped."""
 
 MAX_TERM_PRODUCTS = MAX_EXPONENT * (MAX_EXPONENT + 1)
 """Most products of two terms a power may take to expand, bounded before
@@ -236,7 +200,10 @@ class _Parser:
                     self.ints[t] = int(t)
                 except ValueError:  # more digits than int() converts
                     self.fail(("a number with fewer digits",), toks.index(t))
-        self.vars = {t: int(m.group(1)) - 1 for t in distinct if (m := _VAR_RE.match(t))}
+        # The index of each x<k> (four digits already pass MAX_VARIABLE); exponent
+        # tuples are as wide as the highest such token within the bound.
+        self.vars = {t: int(m[1][:4]) - 1 for t in distinct if (m := _VAR_RE.match(t))}
+        self.width = max((v + 1 for v in self.vars.values() if v < MAX_VARIABLE), default=0)
 
     def fail(self, expected, index: Optional[int] = None, found: str = "") -> None:
         index = self.i if index is None else index
@@ -322,7 +289,7 @@ class _Parser:
             if toks[i + 1] not in _ENDS:
                 self.fail(("';'", "','", "']'"))
             return tok
-        return _canon(self.expr())
+        return value_of_poly(self.expr())
 
     def rational(self, j: int) -> Tuple[Fraction, int]:
         """The rational p or p/q whose numerator is token j, and the index after it."""
@@ -349,52 +316,83 @@ class _Parser:
         self.depth -= 1
         return tuple(items)
 
-    # -- polynomial expressions: dicts {monomial: coefficient} owned by the caller
+    # -- polynomial expressions: each term c*x1^a*x3^b is read in one pass
+    # into its coefficient and exponents; only parenthesised factors are
+    # multiplied, raised and added as Polys.
 
-    def expr(self):
-        out = self.term()
+    def expr(self) -> Poly:
         toks = self.toks
-        while toks[self.i] in ("+", "-"):
+        monomials: Dict[Tuple[int, ...], Fraction] = {}
+        products = []
+        neg = False
+        while True:
+            term = self.term(neg)
+            if isinstance(term, Poly):
+                products.append(term)
+            else:
+                exp, c = term
+                monomials[exp] = monomials[exp] + c if exp in monomials else c
+            if toks[self.i] not in ("+", "-"):
+                break
             neg = toks[self.i] == "-"
             self.i += 1
-            for m, c in self.term().items():
-                c = -c if neg else c
-                out[m] = out[m] + c if m in out else c
-        return out
+        out = Poly._from_fractions(self.width, {e: c for e, c in monomials.items() if c})
+        return sum(products, out)
 
-    def term(self):
-        out = self.factor()
-        while self.toks[self.i] == "*":
-            at = self.i
-            self.i += 1
-            right = self.factor()
-            if len(out) * len(right) > MAX_TERMS:
-                self.fail((f"a product of at most {MAX_TERMS} terms",), at)
-            out = _pmul(out, right)
-        return out
-
-    def factor(self):
+    def term(self, neg: bool):
+        """A product of factors, negated if ``neg``: ``(exponents, coefficient)``
+        when no factor is parenthesised, else the product as a Poly."""
         toks = self.toks
-        neg = False
-        while toks[self.i] == "-":
+        coef, exps = _ONE, [0] * self.width
+        poly = star = None
+        while True:
+            while toks[self.i] == "-":
+                self.i += 1
+                neg = not neg
+            tok = toks[self.i]
+            factor = None
+            if tok in self.ints:
+                r, self.i = self.rational(self.i)
+                k = self.power(1)
+                r = r if k == 1 else r**k
+                coef = r if coef is _ONE else coef * r
+            elif tok in self.vars:
+                v = self.vars[tok]
+                if v >= MAX_VARIABLE:
+                    self.fail((f"a variable x<k> with k at most {MAX_VARIABLE}",))
+                self.i += 1
+                exps[v] += self.power(1)
+            elif tok == "(":
+                self.open()
+                factor = self.expr()
+                self.expect(")")
+                self.depth -= 1
+                k = self.power(len(factor.num))
+                if k != 1:
+                    factor = factor**k
+            elif self.is_ident(tok):
+                self.fail(("a variable x<k>",))
+            else:
+                self.fail(("a rational", "a variable x<k>", "'('"))
+            if star is not None:  # the product's terms, bounded before multiplying
+                left = 1 if poly is None else len(poly.num)
+                if left * (1 if factor is None else len(factor.num)) > MAX_TERMS:
+                    self.fail((f"a product of at most {MAX_TERMS} terms",), star)
+            if factor is not None:
+                poly = factor if poly is None else poly * factor
+            if toks[self.i] != "*":
+                break
+            star = self.i
             self.i += 1
-            neg = not neg
-        tok = toks[self.i]
-        if tok in self.ints:
-            r, self.i = self.rational(self.i)
-            base = {(): r}
-        elif tok in self.vars:
-            self.i += 1
-            base = {((self.vars[tok], 1),): _ONE}
-        elif tok == "(":
-            self.open()
-            base = self.expr()
-            self.expect(")")
-            self.depth -= 1
-        elif self.is_ident(tok):
-            self.fail(("a variable x<k>",))
-        else:
-            self.fail(("a rational", "a variable x<k>", "'('"))
+        coef, exp = -coef if neg else coef, tuple(exps)
+        if poly is None:
+            return exp, coef
+        return poly * Poly._from_fractions(self.width, {exp: coef} if coef else {})
+
+    def power(self, terms: int) -> int:
+        """The exponent of a factor of this many terms: the product of its
+        ``^`` chain, 1 without one; refused before expanding past the bounds."""
+        toks = self.toks
         k, at = 1, self.i
         while toks[self.i] == "^":
             self.i += 1
@@ -405,17 +403,13 @@ class _Parser:
             if e > MAX_EXPONENT or k > MAX_EXPONENT:
                 self.fail((f"an exponent of at most {MAX_EXPONENT}",))
             self.i += 1
-        if k != 1:
-            terms = comb(len(base) + k - 1, k)
-            if terms > MAX_TERMS:
+        if k > 1:
+            count = comb(terms + k - 1, k)
+            if count > MAX_TERMS:
                 self.fail((f"a power of at most {MAX_TERMS} terms",), at)
-            if k * terms > MAX_TERM_PRODUCTS:
+            if k * count > MAX_TERM_PRODUCTS:
                 self.fail((f"a power of at most {MAX_TERM_PRODUCTS} term products",), at)
-            base = _ppow(base, k)
-        if neg:
-            for m in base:
-                base[m] = -base[m]
-        return base
+        return k
 
 
 def _canonical_fields(kind: str, fields, error) -> Tuple[Tuple[str, Value], ...]:
@@ -478,12 +472,14 @@ def print_document(doc: Document) -> str:
 
 
 def value_of_poly(p: Poly) -> Value:
-    """A Poly as a document value: a rational when constant."""
-    terms: Dict[Monomial, Fraction] = {}
-    for exp, c in p.terms.items():
-        mono = tuple((i, e) for i, e in enumerate(exp) if e)
-        terms[mono] = Fraction(c)
-    return _canon(terms)
+    """A Poly as a document value: a rational when constant, else the
+    PolyValue of ``p`` cut to the highest variable it uses."""
+    used = max((i + 1 for exp in p.num for i, e in enumerate(exp) if e), default=0)
+    if not used:
+        return p.constant_value()
+    if used < p.nvars:
+        p = Poly._make(used, {e[:used]: c for e, c in p.num.items()}, p.den)
+    return PolyValue(p)
 
 
 def _value_of_entry(x) -> Value:
@@ -789,16 +785,14 @@ def _elaborate_atlas(block: Block) -> Atlas:
         for field in _EDGE_FIELDS:
             if field not in data and field != "samples":
                 raise DaffineError(f"{ctx} is missing field '{field}'")
-        base_p = Mat(
-            tuple(
-                tuple(_as_frac(x, ctx) for x in row)
-                for row in _as_rows(data["base_p"], ctx)
-            )
-        )
+        base_p = Mat(_as_rows(data["base_p"], ctx))
         base_q = _as_vec(data["base_q"], ctx)
         samples = tuple(
             Vec(row) for row in _as_rows(data.get("samples", ()), ctx)
         )
+        # Before any coefficient is lifted into m variables.
+        if base_p.nrows != m or base_p.ncols != m or base_q.dim != m:
+            raise DaffineError(f"{ctx}: base_p must be {m}x{m} and base_q must have {m} entries")
         t = TransitionData(
             base_map=BaseMap(base_p, base_q),
             alpha0=_as_poly_vec(data["alpha0"], m, ctx),

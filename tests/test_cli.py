@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from daffine import cli, dsl, suites
 from daffine.errors import UnknownOp, UnknownSuite
+from daffine.exact import Poly
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -57,15 +58,56 @@ def test_malformed_literal_exits_two(source, tmp_path, capsys):
     assert captured.err.startswith("error: line 1, col ")
 
 
+def _no_expansion(*_):
+    raise AssertionError("expanded before the bound was checked")
+
+
 def test_power_over_the_work_bound_exits_two_before_expanding(tmp_path, capsys, monkeypatch):
     text = Path(fixture("atlas_consistent.daff")).read_text()
     path = tmp_path / "doc.daff"
     path.write_text(text.replace("[-x1 - 3]", "[(x1+x2+x3)^61]", 1), encoding="utf-8")
-    monkeypatch.setattr(dsl, "_ppow", None)  # the power is refused before it is expanded
+    for op in ("__pow__", "__mul__"):  # the power is refused before it is expanded
+        monkeypatch.setattr(Poly, op, _no_expansion)
     assert cli.main(["check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line 7, col 27: expected a power of at most {dsl.MAX_TERM_PRODUCTS} term products, found ^\n"
+
+
+ONE_EDGE_ATLAS = """atlas A {
+  base_dim = 1000000000;
+  fiber_dims = [1, 1, 1];
+  charts = [u];
+  u.u.base_p = [[1]];
+  u.u.base_q = [0];
+  u.u.alpha0 = [0];
+  u.u.alpha = [[1]];
+  u.u.beta0 = [0];
+  u.u.beta = [[1]];
+  u.u.gamma00 = [0];
+  u.u.gamma_y = [[0]];
+  u.u.gamma_z = [[0]];
+  u.u.gamma_yz = [[[0]]];
+  u.u.sigma = [[1]];
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "base_dim, base_p, base_q",
+    [("1000000000", "[[1]]", "[0]"), ("2", "[[1]]", "[0]"), ("1", "[[1, 0], [0, 1]]", "[0, 0]"), ("1", "[[1]]", "[0, 0]")],
+)
+def test_base_map_of_the_wrong_size_exits_two_before_lifting(base_dim, base_p, base_q, tmp_path, capsys):
+    path = tmp_path / "doc.daff"
+    text = ONE_EDGE_ATLAS.replace("1000000000", base_dim).replace("[[1]];\n  u.u.base_q = [0]", f"{base_p};\n  u.u.base_q = {base_q}")
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: atlas block 'A' edge u->u: base_p must be {base_dim}x{base_dim}"
+        f" and base_q must have {base_dim} entries\n"
+    )
 
 
 def test_undecodable_file_exits_two(tmp_path, capsys):

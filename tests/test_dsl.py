@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from daffine.dsl import (
     MAX_NESTING,
     MAX_TERM_PRODUCTS,
     MAX_TERMS,
+    MAX_VARIABLE,
     Document,
     DoubleBlock,
     PolyValue,
@@ -227,6 +229,10 @@ def test_expansions_up_to_the_term_bound_are_exact():
     assert fm["n3"].to_poly(2) == total(2, 2) ** MAX_EXPONENT
 
 
+def _no_expansion(*_):
+    raise AssertionError("expanded before the bound was checked")
+
+
 @pytest.mark.parametrize(
     "t, k",
     [
@@ -237,7 +243,8 @@ def test_expansions_up_to_the_term_bound_are_exact():
     ],
 )
 def test_power_above_the_work_bound_is_a_parse_error(t, k, monkeypatch):
-    monkeypatch.setattr(dsl, "_ppow", None)  # refused before any expansion
+    for op in ("__pow__", "__mul__"):  # refused before any expansion
+        monkeypatch.setattr(Poly, op, _no_expansion)
     text = f"double A {{ n1 = {_sum(t)}^{k}; }}"
     with pytest.raises(ParseError) as err:
         parse(text)
@@ -251,6 +258,69 @@ def test_powers_up_to_the_work_bound_expand_exactly():
     fm = parse(f"double A {{ n1 = {_sum(3)}^26; n2 = {_sum(2)}^{MAX_EXPONENT}; }}").blocks[0].field_map()
     assert fm["n1"].to_poly(3) == (x[0] + x[1] + x[2]) ** 26  # 26 * C(28, 26) = 9828 term products
     assert fm["n2"].to_poly(3) == (x[0] + x[1]) ** MAX_EXPONENT  # 10 100, the bound
+
+
+def test_term_bounds_count_terms_after_cancellation():
+    # x41 - x41 and x3 - x3 cancel inside their parentheses, so these factors
+    # count 40 and 2 terms: 40 * 50 = 2000 products, a square of 62 terms.
+    fm = parse(
+        f"double A {{ n1 = (x41 + {_sum(41)[1:-1]} - x41 - x41) * {_sum(50)};"
+        f" n2 = (x1 + x2 + x3 - x3)^61; }}"
+    ).blocks[0].field_map()
+    x = [Poly.variable(50, i) for i in range(50)]
+    assert fm["n1"].to_poly(50) == sum(x[1:40], x[0]) * sum(x[1:], x[0])
+    assert fm["n2"].to_poly(2) == (Poly.variable(2, 0) + Poly.variable(2, 1)) ** 61
+
+
+def test_variables_up_to_the_bound_parse():
+    fm = parse(f"double A {{ n1 = x1 * x{MAX_VARIABLE}^2; n2 = x{MAX_VARIABLE}; }}").blocks[0].field_map()
+    assert fm["n1"].poly.nvars == fm["n2"].poly.nvars == MAX_VARIABLE
+    assert fm["n1"].to_poly(MAX_VARIABLE) == Poly.variable(MAX_VARIABLE, 0) * Poly.variable(MAX_VARIABLE, 99) ** 2
+
+
+@pytest.mark.parametrize("var", [f"x{MAX_VARIABLE + 1}", "x999999999", "x" + "1" * 5000])
+def test_variable_above_the_bound_is_a_parse_error(var):
+    text = f"double A {{\n  n1 = 1;\n  l1 = [2*x1 - 3*{var}^2];\n}}"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (3, 18)
+    assert err.value.expected == (f"a variable x<k> with k at most {MAX_VARIABLE}",)
+    assert err.value.found == var
+
+
+@pytest.mark.parametrize("name", ["x999999999", "x" + "1" * 5000])
+def test_names_that_look_like_variables_are_not_bounded(name):
+    doc = parse(f"double {name} {{ n1 = 1; n2 = 1; n3 = 1; l1 = [x1]; l2 = [1]; }}")
+    assert doc.blocks[0].name == name
+    assert doc.blocks[0].field_map()["l1"][0].poly == Poly.variable(1, 0)
+    with pytest.raises(ParseError) as err:
+        parse(f"double A {{ n1 = 1; {name} = 1; }}")
+    assert err.value.expected == ("n1", "n2", "n3", "l1", "l2", "sigma", "constraints")
+    assert err.value.found == name
+    with pytest.raises(UnresolvedReference, match=f"uses undeclared chart '{name}'"):
+        elaborate(parse(f"atlas A {{ base_dim = 1; fiber_dims = [1, 1, 1]; charts = [u]; {name}.u.alpha0 = [x1]; }}"))
+
+
+@pytest.mark.parametrize("power", [f"(x1 + x{MAX_VARIABLE})^{MAX_EXPONENT}", "(x1+x2+x3)^26"])
+def test_largest_powers_parse_well_under_a_second(power):
+    start = time.perf_counter()
+    parse(f"double A {{ n1 = {power}; }}")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_documents_without_parentheses_parse_without_poly_products(monkeypatch):
+    atlas = three_chart_atlas(random.Random(3), m=2, dims=(1, 2, 1))
+    texts = [p.read_text() for p in sorted(FIXTURES.glob("*.daff")) if p.name != "parse_error.daff"]
+    texts.append(print_document(Document((block_from_atlas("T", atlas),))))
+    calls = []
+    for op in ("__mul__", "__pow__"):
+        real = getattr(Poly, op)
+        monkeypatch.setattr(Poly, op, lambda *a, _op=op, _real=real: calls.append(_op) or _real(*a))
+    for text in texts:
+        parse(text)
+    assert calls == []
+    parse("double A { n1 = (x1 + 1)^2 * (x2 - 1); }")  # the counter sees parenthesised factors
+    assert set(calls) == {"__mul__", "__pow__"}
 
 
 @pytest.mark.skipif(
