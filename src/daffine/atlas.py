@@ -22,20 +22,34 @@ fiberwise model (drop all affine parts) and of the fiberwise hull (one added
 homogenizing coordinate per side, core unchanged) are computed symbolically,
 and their compatibility with composition is itself a checkable report.
 
-Each transition and each chart-path composite is built once.  An atlas
-computes the composite along a path a -> b -> c on first request
-(Atlas.composite) and keeps it for its lifetime, so the cocycle checks and
-the functoriality checks of the induced model and hull atlases share their
-composites; a composite that raises is not kept and raises again at every
-use.  A transition whose blocks already hold polynomials on its base is kept
-as given, block objects included, instead of being lifted again.
+Each chart set's cocycle condition is decided once (Atlas.difference), on
+two facts.  A one-sided inverse of a transition is two-sided (its blocks are
+then invertible over Q[x], and so is its base map), so an inverse pair holds
+if either round trip is the identity; it is decided by the one that pulls
+back fewer terms.  Once the pairs among three charts hold, their six
+triangles are one condition, since moving a transition of a holding pair
+across a triangle's equation gives another triangle's; it is decided by the
+cheapest of the six (with one pair failing or missing, the three triangles
+through it in one direction are one condition).  A path whose condition
+fails is composed on its own, so its record keeps its own witness.
+Atlas.composite returns the long edge, or the identity for a round trip,
+where the condition holds, and composes any other path once and keeps it; a
+composite that raises is not kept and raises again at every use.  So the
+functoriality checks of the induced model and hull atlases compose nothing
+where the original and the induced chart set are both glued.
+
+A transition whose blocks already hold polynomials on its base is kept as
+given, block objects included.  An induced model, linearized or hull
+transition keeps its source's sample points without evaluating determinants
+there again: its alpha, beta and sigma have the same determinants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
@@ -242,18 +256,27 @@ def inverse(t: TransitionData) -> TransitionData:
 # ---------------------------------------------------------------------------
 
 
+def _keeping_samples(t: TransitionData, samples: Tuple[Vec, ...]) -> TransitionData:
+    """t, built without sample points, carrying those of the transition it is
+    induced from; its alpha, beta and sigma have that transition's
+    determinants, which were checked at those points already."""
+    object.__setattr__(t, "samples", samples)
+    return t
+
+
 def _zero_like(t: TransitionData, **kept):
     n1, n2, n3 = t.fiber_dims
     m = t.base_dim
-    defaults = dict(
+    blocks = {name: getattr(t, name) for name in _BLOCK_ORDER}
+    blocks.update(
         alpha0=Vec(Poly.zero(m) for _ in range(n1)),
         beta0=Vec(Poly.zero(m) for _ in range(n2)),
         gamma00=Vec(Poly.zero(m) for _ in range(n3)),
         gamma_y=_mmap(lambda _: Poly.zero(m), t.gamma_y),
         gamma_z=_mmap(lambda _: Poly.zero(m), t.gamma_z),
     )
-    defaults.update(kept)
-    return replace(t, **defaults)
+    blocks.update(kept)
+    return _keeping_samples(TransitionData(base_map=t.base_map, **blocks), t.samples)
 
 
 def partial_model_side1(t: TransitionData) -> TransitionData:
@@ -305,7 +328,9 @@ def induce_hull(t: TransitionData) -> TransitionData:
             layer.append([t.gamma_y[u, i]] + list(t.gamma_yz.entries[u][i]))
         gyz.append(layer)
 
-    return TransitionData(
+    # alpha and beta gain a leading row (1, 0, ..., 0), so each keeps its
+    # determinant, and sigma is unchanged
+    hull = TransitionData(
         base_map=t.base_map,
         alpha0=Vec(zero for _ in range(n1 + 1)),
         alpha=Mat(alpha_rows),
@@ -316,8 +341,8 @@ def induce_hull(t: TransitionData) -> TransitionData:
         gamma_z=Mat([[zero] * (n2 + 1) for _ in range(n3)]),
         gamma_yz=Bilinear(gyz),
         sigma=t.sigma,
-        samples=t.samples,
     )
+    return _keeping_samples(hull, t.samples)
 
 
 def restrict_hull(th: TransitionData, s_val, t_val) -> TransitionData:
@@ -414,6 +439,13 @@ def data_equal(t1: TransitionData, t2: TransitionData) -> bool:
     return first_difference(t1, t2) is None
 
 
+ChartPath = Tuple[str, str, str]
+
+
+def _term_count(t: TransitionData) -> int:
+    return sum(len(e.num) for name in _BLOCK_ORDER for e in _entries(getattr(t, name)))
+
+
 @dataclass(frozen=True)
 class Atlas:
     """A labeled overlap graph with one transition per ordered edge."""
@@ -423,9 +455,11 @@ class Atlas:
     charts: Tuple[str, ...]
     edges: Tuple[Tuple[str, str, TransitionData], ...]
     _index: Dict[Tuple[str, str], TransitionData] = field(init=False, repr=False, compare=False)
-    _composites: Dict[Tuple[str, str, str], TransitionData] = field(
-        init=False, repr=False, compare=False
-    )
+    _composites: Dict[ChartPath, TransitionData] = field(init=False, repr=False, compare=False)
+    # decided paths: does the composite equal the long edge?
+    _glued: Dict[ChartPath, bool] = field(init=False, repr=False, compare=False)
+    # the first difference (or error) of each failing path composed so far
+    _witness: Dict[ChartPath, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.charts)) != len(self.charts):
@@ -441,67 +475,145 @@ class Atlas:
                 raise DimMismatch(f"edge ({a}, {b}) has inconsistent dimensions")
         object.__setattr__(self, "_index", {(a, b): t for a, b, t in self.edges})
         object.__setattr__(self, "_composites", {})
+        object.__setattr__(self, "_glued", {})
+        object.__setattr__(self, "_witness", {})
 
     def transition(self, a: str, b: str) -> Optional[TransitionData]:
         return self._index.get((a, b))
 
-    def composite(self, a: str, b: str, c: str) -> TransitionData:
-        """The transition along the path a -> b -> c, composed on first request.
+    @cached_property
+    def identity(self) -> TransitionData:
+        """The identity transition on this atlas's base and fibers."""
+        return identity_transition(self.base_dim, *self.fiber_dims)
 
-        The composite is kept for the lifetime of the atlas.  If composing
-        raises, nothing is kept, so the error surfaces at every request.
+    def triangles(self) -> Iterable[ChartPath]:
+        """Paths a -> b -> c over three charts whose long edge a -> c exists, in edge order."""
+        for a, b, _ in self.edges:
+            for b2, c, _ in self.edges:
+                if b2 == b and len({a, b, c}) == 3 and (a, c) in self._index:
+                    yield (a, b, c)
+
+    def composite(self, a: str, b: str, c: str) -> TransitionData:
+        """The transition along the path a -> b -> c.
+
+        A round trip or triangle whose condition holds (see difference) is its
+        long edge a -> c, or the identity when a == c, and is not composed.
+        Any other path is composed on first request and kept for the lifetime
+        of the atlas.  If composing raises, nothing is kept, so the error
+        surfaces at every request.
         """
-        key = (a, b, c)
-        t = self._composites.get(key)
-        if t is None:
-            t_ab, t_bc = self._index.get((a, b)), self._index.get((b, c))
-            if t_ab is None or t_bc is None:
-                raise DaffineError(f"no path {a}->{b}->{c} in the atlas")
-            t = self._composites[key] = compose(t_ab, t_bc)
-        return t
+        path = (a, b, c)
+        if self._checkable(path) and self._holds(path):
+            return self._long_edge(path)
+        return self._compose(path)
+
+    def difference(self, a: str, b: str, c: str) -> Optional[str]:
+        """How the composite along a round trip a -> b -> a or a triangle
+        a -> b -> c differs from the identity or the long edge a -> c: the
+        first difference, the error composing raised, or None.
+
+        The condition of the path's chart set is decided on first request by
+        its cheapest composite (the one pulling back the fewest terms, the
+        first in record order on ties); a failing path is composed on its own.
+        """
+        path = (a, b, c)
+        if not self._checkable(path):
+            raise DaffineError(f"no round trip or triangle {a}->{b}->{c} in the atlas")
+        if self._holds(path):
+            return None
+        if path not in self._witness:
+            self._witness[path] = self._own_difference(path)
+        return self._witness[path]
 
     def mapped(self, fn: Callable[[TransitionData], TransitionData]) -> "Atlas":
         new_edges = tuple((a, b, fn(t)) for a, b, t in self.edges)
         dims = new_edges[0][2].fiber_dims if new_edges else self.fiber_dims
         return Atlas(self.base_dim, dims, self.charts, new_edges)
 
+    def _checkable(self, path: ChartPath) -> bool:
+        a, b, c = path
+        index = self._index
+        return (
+            a != b != c
+            and (a, b) in index
+            and (b, c) in index
+            and (a == c or (a, c) in index)
+        )
+
+    def _long_edge(self, path: ChartPath) -> TransitionData:
+        a, _, c = path
+        return self.identity if a == c else self._index[(a, c)]
+
+    def _compose(self, path: ChartPath) -> TransitionData:
+        t = self._composites.get(path)
+        if t is None:
+            a, b, c = path
+            t_ab, t_bc = self._index.get((a, b)), self._index.get((b, c))
+            if t_ab is None or t_bc is None:
+                raise DaffineError(f"no path {a}->{b}->{c} in the atlas")
+            t = self._composites[path] = compose(t_ab, t_bc)
+        return t
+
+    def _own_difference(self, path: ChartPath) -> Optional[str]:
+        try:
+            return first_difference(self._compose(path), self._long_edge(path))
+        except DaffineError as exc:
+            return str(exc)
+
+    def _holds(self, path: ChartPath) -> bool:
+        if path not in self._glued:
+            a, b, c = path
+            if a == c:
+                lo, hi = sorted((a, b))
+                same = [(lo, hi, lo), (hi, lo, hi)]
+            else:
+                same = self._same_condition(path)
+            # the composite pulls its second transition back through the first
+            decider = min(same, key=lambda p: _term_count(self._index[p[1:]]))
+            diff = self._own_difference(decider)
+            if diff is not None:
+                self._witness[decider] = diff
+            for p in same:
+                self._glued[p] = diff is None
+        return self._glued[path]
+
+    def _pair_holds(self, a: str, b: str) -> bool:
+        return self._checkable((a, b, a)) and self._holds((a, b, a))
+
+    def _same_condition(self, path: ChartPath) -> list:
+        """The triangles, in record order, that are one condition with path.
+
+        Moving one transition of a holding pair across a triangle's equation
+        gives another triangle's.  With every pair among path's charts
+        holding, that links all six; with one pair failing or missing, the
+        three that run through it in path's direction.  When that condition
+        holds, every transition they involve has unit determinants, so no
+        composite among them is singular at a sample point.  With two pairs
+        not holding that is not so, and path is decided on its own.
+        """
+        charts = set(path)
+        failing = [pair for pair in combinations(sorted(charts), 2) if not self._pair_holds(*pair)]
+        if len(failing) > 1:
+            return [path]
+        direction = lambda p: [p.index(x) < p.index(y) for x, y in failing]
+        return [p for p in self.triangles() if set(p) == charts and direction(p) == direction(path)]
+
+
+def _record(name: str, diff: Optional[str]) -> CheckRecord:
+    return CheckRecord(name, PASS if diff is None else FAIL, diff)
+
 
 def cocycle_check(atlas: Atlas) -> Report:
     """Verify self-loops, inverse pairs, and all transition triangles exactly."""
     records = []
-    n1, n2, n3 = atlas.fiber_dims
     for a, b, t in atlas.edges:
         if a == b:
-            diff = first_difference(t, identity_transition(atlas.base_dim, n1, n2, n3))
-            records.append(
-                CheckRecord(f"self-loop {a}", PASS if diff is None else FAIL, diff)
-            )
+            records.append(_record(f"self-loop {a}", first_difference(t, atlas.identity)))
     for a, b, _ in atlas.edges:
-        if a >= b or atlas.transition(b, a) is None:
-            continue
-        try:
-            diff = first_difference(
-                atlas.composite(a, b, a), identity_transition(atlas.base_dim, n1, n2, n3)
-            )
-        except DaffineError as exc:
-            diff = str(exc)
-        records.append(
-            CheckRecord(f"inverse pair {a}<->{b}", PASS if diff is None else FAIL, diff)
-        )
-    for a, b, _ in atlas.edges:
-        for b2, c, _ in atlas.edges:
-            if b2 != b or a == b or b == c or a == c:
-                continue
-            t_ac = atlas.transition(a, c)
-            if t_ac is None:
-                continue
-            try:
-                diff = first_difference(atlas.composite(a, b, c), t_ac)
-            except DaffineError as exc:
-                diff = str(exc)
-            records.append(
-                CheckRecord(f"triangle {a}->{b}->{c}", PASS if diff is None else FAIL, diff)
-            )
+        if a < b and atlas.transition(b, a) is not None:
+            records.append(_record(f"inverse pair {a}<->{b}", atlas.difference(a, b, a)))
+    for a, b, c in atlas.triangles():
+        records.append(_record(f"triangle {a}->{b}->{c}", atlas.difference(a, b, c)))
     if not records:
         records.append(CheckRecord("no overlaps", PASS, "nothing to glue"))
     return Report.of(records)
@@ -509,28 +621,26 @@ def cocycle_check(atlas: Atlas) -> Report:
 
 def check_atlas_model_hull(atlas: Atlas) -> Report:
     """Induced model and hull atlases: cocycles, functoriality, restrictions."""
-    records = []
     model_atlas = atlas.mapped(induce_model)
     hull_atlas = atlas.mapped(induce_hull)
-    report = Report.of(records)
+    report = Report.of([])
     report = report.merged(cocycle_check(model_atlas), prefix="model ")
     report = report.merged(cocycle_check(hull_atlas), prefix="hull ")
 
     extra = []
     for a, b, t in atlas.edges:
         th = hull_atlas.transition(a, b)
-        diff = first_difference(restrict_hull(th, 1, 1), t)
+        extra.append(_record(f"hull at (1,1) {a}->{b}", first_difference(restrict_hull(th, 1, 1), t)))
         extra.append(
-            CheckRecord(f"hull at (1,1) {a}->{b}", PASS if diff is None else FAIL, diff)
+            _record(
+                f"hull at (0,0) {a}->{b}",
+                first_difference(restrict_hull(th, 0, 0), model_atlas.transition(a, b)),
+            )
         )
-        diff = first_difference(restrict_hull(th, 0, 0), model_atlas.transition(a, b))
         extra.append(
-            CheckRecord(f"hull at (0,0) {a}->{b}", PASS if diff is None else FAIL, diff)
-        )
-        diff = first_difference(linearize(t, "side1"), linearize(t, "side2"))
-        extra.append(
-            CheckRecord(
-                f"model order-independence {a}->{b}", PASS if diff is None else FAIL, diff
+            _record(
+                f"model order-independence {a}->{b}",
+                first_difference(linearize(t, "side1"), linearize(t, "side2")),
             )
         )
     for a, b, _ in atlas.edges:
@@ -538,16 +648,16 @@ def check_atlas_model_hull(atlas: Atlas) -> Report:
             if b2 != b or a == b or b == c:
                 continue
             t_ac = atlas.composite(a, b, c)
-            diff = first_difference(induce_model(t_ac), model_atlas.composite(a, b, c))
             extra.append(
-                CheckRecord(
-                    f"model functorial {a}->{b}->{c}", PASS if diff is None else FAIL, diff
+                _record(
+                    f"model functorial {a}->{b}->{c}",
+                    first_difference(induce_model(t_ac), model_atlas.composite(a, b, c)),
                 )
             )
-            diff = first_difference(induce_hull(t_ac), hull_atlas.composite(a, b, c))
             extra.append(
-                CheckRecord(
-                    f"hull functorial {a}->{b}->{c}", PASS if diff is None else FAIL, diff
+                _record(
+                    f"hull functorial {a}->{b}->{c}",
+                    first_difference(induce_hull(t_ac), hull_atlas.composite(a, b, c)),
                 )
             )
     return report.merged(Report.of(extra))

@@ -620,6 +620,22 @@ def _as_int(v: Value, ctx: str) -> int:
     raise DaffineError(f"{ctx}: expected an integer, got {format_value(v)}")
 
 
+MAX_DIM = 100
+"""Largest dimension a ``double`` (``n1``, ``n2``, ``n3``), a
+``special_bundle`` (``m``, ``n``) or a ``graded`` component may declare.  No
+entry of the document has to match these sizes, and the suites draw points
+of them, so a dimension one above is refused when the document is
+elaborated.  The sizes of a ``space`` or an ``atlas`` are checked against
+the entries they hold."""
+
+
+def _as_dim(v: Value, ctx: str) -> int:
+    n = _as_int(v, ctx)
+    if n > MAX_DIM:
+        raise DaffineError(f"{ctx}: a dimension is at most {MAX_DIM}, got {n}")
+    return n
+
+
 def _as_frac(v: Value, ctx: str) -> Fraction:
     if isinstance(v, Fraction):
         return v
@@ -687,7 +703,7 @@ def _elaborate_space(block: Block) -> BispecialRep:
 
 def _elaborate_double(block: Block) -> DoubleBlock:
     f = _Fields(block)
-    dims = tuple(_as_int(f.need(k), f.ctx(k)) for k in ("n1", "n2", "n3"))
+    dims = tuple(_as_dim(f.need(k), f.ctx(k)) for k in ("n1", "n2", "n3"))
     space = DecomposedDouble(*dims)
     l1, l2 = f.opt("l1"), f.opt("l2")
     if (l1 is None) != (l2 is None):
@@ -715,8 +731,8 @@ def _elaborate_double(block: Block) -> DoubleBlock:
 
 def _elaborate_special_bundle(block: Block) -> SpecialBundleBlock:
     f = _Fields(block)
-    m = _as_int(f.need("m"), f.ctx("m"))
-    n = _as_int(f.need("n"), f.ctx("n"))
+    m = _as_dim(f.need("m"), f.ctx("m"))
+    n = _as_dim(f.need("n"), f.ctx("n"))
     omega = f.opt("omega")
     return SpecialBundleBlock(
         TrivialBispecial(m, n),
@@ -735,7 +751,7 @@ def _elaborate_graded(block: Block) -> NAffine:
             bits = key[4:]
             if len(bits) != n:
                 raise DaffineError(f"{f.ctx(key)}: bitstring length must equal n={n}")
-            dims[tuple(int(b) for b in bits)] = _as_int(value, f.ctx(key))
+            dims[tuple(int(b) for b in bits)] = _as_dim(value, f.ctx(key))
         elif key.startswith("l_"):
             bits = key[2:]
             if len(bits) != n:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 import daffine.atlas as atlas_module
 from daffine import dsl, randgen
@@ -41,7 +42,7 @@ from daffine.errors import (
     SingularMatrix,
 )
 from daffine.exact import BaseMap, Bilinear, Mat, Poly, Vec
-from daffine.report import FAIL, PASS
+from daffine.report import FAIL, PASS, CheckRecord, Report
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +430,26 @@ def test_hull_is_functorial():
     assert data_equal(induce_hull(compose(t1, t2)), compose(induce_hull(t1), induce_hull(t2)))
 
 
+def test_induced_transitions_keep_their_samples_without_checking_them_again(monkeypatch):
+    t = rand_transition(random.Random(21), 2, 2, 1, 2, samples=3)
+    checked = []
+    real = Mat.is_invertible
+    monkeypatch.setattr(Mat, "is_invertible", lambda self: checked.append(self) or real(self))
+    induced = [
+        induce_model(t),
+        induce_hull(t),
+        linearize(t, "side1"),
+        linearize(t, "side2"),
+        atlas_module.partial_model_side1(t),
+        atlas_module.partial_model_side2(t),
+    ]
+    assert checked == []
+    assert all(u.samples == t.samples for u in induced)
+    # a composite is still checked: alpha, beta and sigma at each sample
+    compose(t, induce_model(t))
+    assert len(checked) == 9
+
+
 def test_hull_dimensions_and_leading_rows():
     rng = random.Random(10)
     t = rand_transition(rng, 2, 2, 3, 1)
@@ -588,7 +609,7 @@ def test_report_text_format():
 
 
 # ---------------------------------------------------------------------------
-# composites: each chart path composed once per atlas
+# composites: each chart set decided once, each path composed at most once
 # ---------------------------------------------------------------------------
 
 
@@ -610,6 +631,45 @@ def _fixture_atlas():
     return next(v for v in objs.values() if isinstance(v, Atlas))
 
 
+def _path_of(atlas, first, second):
+    """The chart path a -> b -> c whose two edges are the given transitions."""
+    ((a, b),) = [(x, y) for x, y, t in atlas.edges if t is first]
+    (c,) = [z for y, z, t in atlas.edges if y == b and t is second]
+    return (a, b, c)
+
+
+def _term_count(t):
+    """Terms in the coefficient polynomials of t's nine blocks."""
+    vecs = (t.alpha0, t.beta0, t.gamma00)
+    mats = (t.alpha, t.beta, t.gamma_y, t.gamma_z, t.sigma)
+    return (
+        sum(len(p.terms) for v in vecs for p in v)
+        + sum(len(p.terms) for m in mats for row in m.rows for p in row)
+        + sum(len(p.terms) for layer in t.gamma_yz.entries for row in layer for p in row)
+    )
+
+
+def _cheapest(atlas, paths):
+    """The path whose second edge, the one pulled back, has the fewest terms;
+    the first listed on ties."""
+    return min(paths, key=lambda p: _term_count(atlas.transition(p[1], p[2])))
+
+
+def _deciding_paths(atlas):
+    """For a glued three-chart atlas: each pair's cheaper round trip, in record
+    order, then the cheapest of the six triangles in record order."""
+    pairs = [(a, b) for a, b, _ in atlas.edges if a < b]
+    triangles = [
+        (a, b, c)
+        for a, b, _ in atlas.edges
+        for b2, c, _ in atlas.edges
+        if b2 == b and len({a, b, c}) == 3
+    ]
+    return [_cheapest(atlas, [(a, b, a), (b, a, b)]) for a, b in pairs] + [
+        _cheapest(atlas, triangles)
+    ]
+
+
 @pytest.mark.parametrize(
     "make",
     [_fixture_atlas, lambda: randgen.three_chart_atlas(random.Random(5), 2, (1, 1, 1))],
@@ -620,28 +680,34 @@ def test_model_hull_composes_each_chart_path_once(monkeypatch, make):
     calls = _count_compose(monkeypatch)
     report = check_atlas_model_hull(atlas)
     assert report.passed
-    # 12 two-step paths on the original atlas; the model and hull cocycle
-    # checks compose 9 each, and functoriality adds the 3 back-and-forth
-    # paths a->b->a with a > b that the cocycle check does not compose
-    assert len(calls) == 36
-    # a second check reuses the original atlas's composites
+    # the original, model and hull atlases each decide their chart set by
+    # three round trips and one triangle; functoriality then finds every
+    # composite it asks for glued and composes nothing
+    assert len(calls) == 12
+    # a second check reuses the original atlas's decisions
     calls.clear()
     assert check_atlas_model_hull(atlas).to_json() == report.to_json()
-    assert len(calls) == 24
+    assert len(calls) == 8
 
 
-def test_cocycle_check_composes_nine_paths(monkeypatch):
-    atlas = randgen.three_chart_atlas(random.Random(5), 2, (1, 1, 1))
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_cocycle_check_composes_four_paths(monkeypatch, seed):
+    atlas = randgen.three_chart_atlas(random.Random(seed), 2, (1, 1, 1))
     calls = _count_compose(monkeypatch)
     assert cocycle_check(atlas).passed
-    assert len(calls) == 9
-    assert atlas.composite("a", "b", "c") is atlas.composite("a", "b", "c")
-    assert len(calls) == 9
+    assert [_path_of(atlas, *call) for call in calls] == _deciding_paths(atlas)
+    # a glued path is its long edge and is not composed
+    assert atlas.composite("a", "b", "c") is atlas.transition("a", "c")
+    assert atlas.composite("c", "a", "c") is atlas.composite("b", "a", "b")
+    assert len(calls) == 4
 
 
 def test_a_failing_composite_is_not_kept(monkeypatch):
     atlas = three_chart_atlas(seed=5)
-    t_ab, t_bc = atlas.transition("a", "b"), atlas.transition("b", "c")
+    hull_atlas = atlas.mapped(induce_hull)
+    # the hull triangle that decides the six: it must be composed
+    a, b, c = _deciding_paths(hull_atlas)[-1]
+    t_ab, t_bc = atlas.transition(a, b), atlas.transition(b, c)
     real = atlas_module.compose
     calls = []
 
@@ -653,21 +719,23 @@ def test_a_failing_composite_is_not_kept(monkeypatch):
             and first.fiber_dims != atlas.fiber_dims
         )
         if hull_path:
-            raise NotInvertible("hull path a->b->c refused")
+            raise NotInvertible(f"hull path {a}->{b}->{c} refused")
         return real(first, second)
 
     monkeypatch.setattr(atlas_module, "compose", refusing)
-    hull_atlas = atlas.mapped(induce_hull)
     records = {r.name: r for r in cocycle_check(hull_atlas).sorted_records()}
-    assert records["triangle a->b->c"].status == FAIL
-    assert records["triangle a->b->c"].witness == "hull path a->b->c refused"
-    assert records["triangle b->c->a"].status == PASS
+    refused = f"triangle {a}->{b}->{c}"
+    assert records[refused].status == FAIL
+    assert records[refused].witness == f"hull path {a}->{b}->{c} refused"
+    # the failed decision leaves each other triangle to its own composite
+    others = [r for name, r in records.items() if name.startswith("triangle") and name != refused]
+    assert len(others) == 5 and all(r.status == PASS for r in others)
     for _ in range(2):
         n = len(calls)
         with pytest.raises(NotInvertible, match="refused"):
-            hull_atlas.composite("a", "b", "c")
+            hull_atlas.composite(a, b, c)
         assert len(calls) == n + 1
-    with pytest.raises(NotInvertible, match="hull path a->b->c refused"):
+    with pytest.raises(NotInvertible, match=f"hull path {a}->{b}->{c} refused"):
         check_atlas_model_hull(atlas)
 
 
@@ -675,3 +743,164 @@ def test_composite_needs_both_edges():
     atlas = Atlas(1, (1, 1, 1), ("a", "b"), (("a", "b", identity_transition(1, 1, 1, 1)),))
     with pytest.raises(DaffineError, match="no path a->b->a"):
         atlas.composite("a", "b", "a")
+    with pytest.raises(DaffineError, match="no round trip or triangle a->b->a"):
+        atlas.difference("a", "b", "a")
+
+
+# ---------------------------------------------------------------------------
+# differential: deciding each chart set once against composing every path
+# ---------------------------------------------------------------------------
+
+
+def _reference_record(name, make):
+    try:
+        diff = make()
+    except DaffineError as exc:
+        diff = str(exc)
+    return CheckRecord(name, PASS if diff is None else FAIL, diff)
+
+
+def reference_cocycle_check(atlas):
+    """The cocycle report composing every round trip and triangle it names."""
+    n1, n2, n3 = atlas.fiber_dims
+    ident = identity_transition(atlas.base_dim, n1, n2, n3)
+    edge = atlas.transition
+    records = []
+    for a, b, t in atlas.edges:
+        if a == b:
+            records.append(_reference_record(f"self-loop {a}", lambda: first_difference(t, ident)))
+    for a, b, _ in atlas.edges:
+        if a < b and edge(b, a) is not None:
+            records.append(
+                _reference_record(
+                    f"inverse pair {a}<->{b}",
+                    lambda: first_difference(compose(edge(a, b), edge(b, a)), ident),
+                )
+            )
+    for a, b, _ in atlas.edges:
+        for b2, c, _ in atlas.edges:
+            if b2 == b and len({a, b, c}) == 3 and edge(a, c) is not None:
+                records.append(
+                    _reference_record(
+                        f"triangle {a}->{b}->{c}",
+                        lambda: first_difference(compose(edge(a, b), edge(b, c)), edge(a, c)),
+                    )
+                )
+    if not records:
+        records.append(CheckRecord("no overlaps", PASS, "nothing to glue"))
+    return Report.of(records)
+
+
+def reference_check_atlas_model_hull(atlas):
+    """The model-hull report composing every chart path each functoriality record names."""
+    model_atlas = atlas.mapped(induce_model)
+    hull_atlas = atlas.mapped(induce_hull)
+    report = Report.of([]).merged(reference_cocycle_check(model_atlas), prefix="model ")
+    report = report.merged(reference_cocycle_check(hull_atlas), prefix="hull ")
+    extra = []
+    for a, b, t in atlas.edges:
+        th = hull_atlas.transition(a, b)
+        for name, diff in (
+            (f"hull at (1,1) {a}->{b}", first_difference(restrict_hull(th, 1, 1), t)),
+            (f"hull at (0,0) {a}->{b}", first_difference(restrict_hull(th, 0, 0), model_atlas.transition(a, b))),
+            (f"model order-independence {a}->{b}", first_difference(linearize(t, "side1"), linearize(t, "side2"))),
+        ):
+            extra.append(CheckRecord(name, PASS if diff is None else FAIL, diff))
+    for a, b, _ in atlas.edges:
+        for b2, c, _ in atlas.edges:
+            if b2 != b or a == b or b == c:
+                continue
+            t_ac = compose(atlas.transition(a, b), atlas.transition(b, c))
+            for kind, induce, induced in (("model", induce_model, model_atlas), ("hull", induce_hull, hull_atlas)):
+                path = compose(induced.transition(a, b), induced.transition(b, c))
+                diff = first_difference(induce(t_ac), path)
+                extra.append(CheckRecord(f"{kind} functorial {a}->{b}->{c}", PASS if diff is None else FAIL, diff))
+    return report.merged(Report.of(extra))
+
+
+def _outcome(check, atlas):
+    try:
+        return "report", check(atlas).to_json()
+    except DaffineError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _bumped(t, name, shift):
+    """t with `shift` added to the first entry of one block."""
+    block = getattr(t, name)
+    if isinstance(block, Vec):
+        new = Vec((block[0] + shift,) + tuple(block)[1:])
+    elif isinstance(block, Mat):
+        rows = [list(r) for r in block.rows]
+        rows[0][0] = rows[0][0] + shift
+        new = Mat(rows)
+    else:
+        layers = [[list(r) for r in layer] for layer in block.entries]
+        layers[0][0][0] = layers[0][0][0] + shift
+        new = Bilinear(layers)
+    return replace(t, **{name: new})
+
+
+BLOCK_NAMES = ("alpha0", "alpha", "beta0", "beta", "gamma00", "gamma_y", "gamma_z", "gamma_yz", "sigma")
+
+
+@st.composite
+def glued_perturbed_or_cut_atlas(draw):
+    """A three-chart atlas at base dim 1-2: consistent, with one block of one
+    edge shifted by a constant or a monomial, or with one edge left out."""
+    m = draw(st.integers(1, 2))
+    atlas = randgen.three_chart_atlas(random.Random(draw(st.integers(0, 10**6))), m, (1, 1, 1))
+    kind = draw(st.sampled_from(("consistent", "perturbed", "cut")))
+    if kind == "consistent":
+        return atlas
+    k = draw(st.integers(0, len(atlas.edges) - 1))
+    edges = list(atlas.edges)
+    if kind == "cut":
+        del edges[k]
+    else:
+        a, b, t = edges[k]
+        c = Fraction(draw(st.sampled_from((-2, -1, 1, 3))), draw(st.sampled_from((1, 2))))
+        shift = c * Poly.variable(m, draw(st.integers(0, m - 1))) if draw(st.booleans()) else Poly.const(m, c)
+        try:
+            edges[k] = (a, b, _bumped(t, draw(st.sampled_from(BLOCK_NAMES)), shift))
+        except SingularMatrix:
+            reject()
+    return Atlas(m, atlas.fiber_dims, atlas.charts, tuple(edges))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(glued_perturbed_or_cut_atlas())
+def test_deciding_each_chart_set_once_matches_composing_every_path(atlas):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_compose(mp)
+        cocycle = _outcome(cocycle_check, atlas)
+        assert cocycle == _outcome(reference_cocycle_check, atlas)
+        # no more composites than records, one each when every path is composed
+        records = json.loads(cocycle[1])["checks"]
+        assert len(calls) <= sum(r["name"].startswith(("inverse", "triangle")) for r in records)
+
+        calls.clear()
+        fresh = Atlas(atlas.base_dim, atlas.fiber_dims, atlas.charts, atlas.edges)
+        model_hull = _outcome(check_atlas_model_hull, fresh)
+        assert model_hull == _outcome(reference_check_atlas_model_hull, atlas)
+        # composing every path would take each two-step path once in each of
+        # the original, model and hull atlases
+        paths = sum(b == b2 and a != b != c for a, b, _ in atlas.edges for b2, c, _ in atlas.edges)
+        if model_hull[0] == "report":
+            assert len(calls) <= 3 * paths
+
+
+@pytest.mark.parametrize("edge", [("a", "b"), ("b", "a"), ("a", "c")], ids=["forward", "inverse", "long"])
+@pytest.mark.parametrize("name", ["gamma00", "alpha", "gamma_yz"])
+def test_a_perturbed_edge_fails_with_the_witness_of_its_own_composite(edge, name):
+    atlas = randgen.three_chart_atlas(random.Random(9), 2, (1, 1, 1))
+    edges = tuple(
+        (a, b, _bumped(t, name, Poly.const(2, Fraction(3, 2))) if (a, b) == edge else t)
+        for a, b, t in atlas.edges
+    )
+    bent = Atlas(2, (1, 1, 1), atlas.charts, edges)
+    report = cocycle_check(bent)
+    assert not report.passed
+    assert report.to_json() == reference_cocycle_check(bent).to_json()
+    fresh = Atlas(2, (1, 1, 1), atlas.charts, edges)
+    assert check_atlas_model_hull(fresh).to_json() == reference_check_atlas_model_hull(fresh).to_json()

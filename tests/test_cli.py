@@ -3,6 +3,7 @@
 import json
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -340,3 +341,17 @@ def test_suites_skip_when_nothing_applies(capsys):
     code = cli.main(["verify", "--suite", "cocycle", fixture("minimal.daff")])
     assert code == 0
     assert "SKIP no applicable blocks" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n1", ["1000000000", str(dsl.MAX_DIM + 1)])
+def test_a_huge_dimension_exits_two_at_once(n1, tmp_path, capsys):
+    path = tmp_path / "doc.daff"
+    path.write_text(f"double A {{ n1 = {n1}; n2 = 1; n3 = 1; }}\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert cli.main(["verify", "--suite", "interchange", "--trials", "1", str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: double block 'A', field 'n1': a dimension is at most {dsl.MAX_DIM}, got {n1}\n"
+    )

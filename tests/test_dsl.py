@@ -613,3 +613,23 @@ def test_atlas_serializer_preserves_every_coefficient():
     assert len(rebuilt.edges) == len(atlas.edges)
     for a, b, t in rebuilt.edges:
         assert first_difference(original[(a, b)], t) is None
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("double A { n1 = 1; n2 = 1; n3 = @; }", "n3"),
+        ("special_bundle B { m = @; n = 1; }", "m"),
+        ("special_bundle B { m = 1; n = @; }", "n"),
+        ("graded G { n = 2; dim_10 = 1; dim_01 = 1; dim_11 = @; l_10 = [1]; l_01 = [1]; }", "dim_11"),
+    ],
+)
+def test_dimensions_are_bounded_at_elaboration(text, field):
+    kind, name = text.split()[:2]
+    for n in (1, dsl.MAX_DIM):
+        elaborate(parse(text.replace("@", str(n))))
+    with pytest.raises(DaffineError) as err:
+        elaborate(parse(text.replace("@", str(dsl.MAX_DIM + 1))))
+    assert str(err.value) == (
+        f"{kind} block '{name}', field '{field}': a dimension is at most {dsl.MAX_DIM}, got {dsl.MAX_DIM + 1}"
+    )
