@@ -40,8 +40,12 @@ where the original and the induced chart set are both glued.
 
 A transition whose blocks already hold polynomials on its base is kept as
 given, block objects included.  An induced model, linearized or hull
-transition keeps its source's sample points without evaluating determinants
-there again: its alpha, beta and sigma have the same determinants.
+transition, and a restriction of a hull transition, keeps its source's sample
+points without evaluating determinants there again: its alpha, beta and sigma
+are invertible wherever its source's are (a restriction's determinants are
+factors of the hull's).  A two-step composite that is singular at a sample
+point fails both of its functoriality records with that error, as its
+cocycle record does.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .errors import (
     SingularMatrix,
 )
 from .exact import BaseMap, Bilinear, Mat, Poly, Vec
-from .report import FAIL, PASS, CheckRecord, Report
+from .report import PASS, CheckRecord, Report, verdict
 
 
 def _lift(value, m: int) -> Poly:
@@ -390,7 +394,10 @@ def restrict_hull(th: TransitionData, s_val, t_val) -> TransitionData:
     gamma_yz = Bilinear(
         [[[g[u, i + 1, b + 1] for b in range(n2)] for i in range(n1)] for u in range(n3)]
     )
-    return TransitionData(
+    # Row 0 of the hull's alpha and beta is (a00, 0, ...), checked above, so
+    # det = a00 * det(restriction), and sigma is the hull's: the restriction
+    # is invertible at every sample point where the hull is.
+    restricted = TransitionData(
         base_map=th.base_map,
         alpha0=alpha0,
         alpha=alpha,
@@ -401,8 +408,8 @@ def restrict_hull(th: TransitionData, s_val, t_val) -> TransitionData:
         gamma_z=gamma_z,
         gamma_yz=gamma_yz,
         sigma=th.sigma,
-        samples=th.samples,
     )
+    return _keeping_samples(restricted, th.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -599,21 +606,17 @@ class Atlas:
         return [p for p in self.triangles() if set(p) == charts and direction(p) == direction(path)]
 
 
-def _record(name: str, diff: Optional[str]) -> CheckRecord:
-    return CheckRecord(name, PASS if diff is None else FAIL, diff)
-
-
 def cocycle_check(atlas: Atlas) -> Report:
     """Verify self-loops, inverse pairs, and all transition triangles exactly."""
     records = []
     for a, b, t in atlas.edges:
         if a == b:
-            records.append(_record(f"self-loop {a}", first_difference(t, atlas.identity)))
+            records.append(verdict(f"self-loop {a}", first_difference(t, atlas.identity)))
     for a, b, _ in atlas.edges:
         if a < b and atlas.transition(b, a) is not None:
-            records.append(_record(f"inverse pair {a}<->{b}", atlas.difference(a, b, a)))
+            records.append(verdict(f"inverse pair {a}<->{b}", atlas.difference(a, b, a)))
     for a, b, c in atlas.triangles():
-        records.append(_record(f"triangle {a}->{b}->{c}", atlas.difference(a, b, c)))
+        records.append(verdict(f"triangle {a}->{b}->{c}", atlas.difference(a, b, c)))
     if not records:
         records.append(CheckRecord("no overlaps", PASS, "nothing to glue"))
     return Report.of(records)
@@ -630,15 +633,15 @@ def check_atlas_model_hull(atlas: Atlas) -> Report:
     extra = []
     for a, b, t in atlas.edges:
         th = hull_atlas.transition(a, b)
-        extra.append(_record(f"hull at (1,1) {a}->{b}", first_difference(restrict_hull(th, 1, 1), t)))
+        extra.append(verdict(f"hull at (1,1) {a}->{b}", first_difference(restrict_hull(th, 1, 1), t)))
         extra.append(
-            _record(
+            verdict(
                 f"hull at (0,0) {a}->{b}",
                 first_difference(restrict_hull(th, 0, 0), model_atlas.transition(a, b)),
             )
         )
         extra.append(
-            _record(
+            verdict(
                 f"model order-independence {a}->{b}",
                 first_difference(linearize(t, "side1"), linearize(t, "side2")),
             )
@@ -647,15 +650,21 @@ def check_atlas_model_hull(atlas: Atlas) -> Report:
         for b2, c, _ in atlas.edges:
             if b2 != b or a == b or b == c:
                 continue
-            t_ac = atlas.composite(a, b, c)
+            try:
+                t_ac = atlas.composite(a, b, c)
+            except DaffineError as exc:
+                # a composite singular at a sample point has no induced
+                # transitions to compare; both records fail on its error
+                extra += [verdict(f"{kind} functorial {a}->{b}->{c}", str(exc)) for kind in ("model", "hull")]
+                continue
             extra.append(
-                _record(
+                verdict(
                     f"model functorial {a}->{b}->{c}",
                     first_difference(induce_model(t_ac), model_atlas.composite(a, b, c)),
                 )
             )
             extra.append(
-                _record(
+                verdict(
                     f"hull functorial {a}->{b}->{c}",
                     first_difference(induce_hull(t_ac), hull_atlas.composite(a, b, c)),
                 )

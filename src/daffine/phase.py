@@ -559,6 +559,9 @@ def afftg_and_duals(bundle: TrivialBispecial, omega: OneForm):
     """The dual tower: the vertical dual of the big double vector bundle, the
     special vertical dual of the phase set, and a report certifying the
     pairing, the model injection, and the two unit shift identities."""
+    # Imported here because randgen builds on this module.
+    from .randgen import rand_int_vec
+
     if omega.coeffs.dim != bundle.base_dim:
         raise DimMismatch("covector does not fit the base")
     m, n = bundle.base_dim, bundle.n
@@ -610,18 +613,17 @@ def afftg_and_duals(bundle: TrivialBispecial, omega: OneForm):
     witness = None
     l1, l2 = side_functionals(bundle)
     for _ in range(8):
-        rand = lambda k: Vec(Fraction(rng.randint(-4, 4)) for _ in range(k))
         # a phase point and a dual-phase point over the same y, built to meet
         # their side constraints
-        y = rand(n + 1)
+        y = rand_int_vec(rng, n + 1, 4)
         y = y + l1.scale(1 - l1.dot(y))
-        z = rand(n + 1)
+        z = rand_int_vec(rng, n + 1, 4)
         z = z + l2.scale(1 - l2.dot(z))
-        xpt = big.point(y, z, rand(m))
-        zc = rand(m)
+        xpt = big.point(y, z, rand_int_vec(rng, m, 4))
+        zc = rand_int_vec(rng, m, 4)
         denom = omega.coeffs.dot(omega.coeffs)
         zc = zc + omega.coeffs.scale((1 - omega.coeffs.dot(zc)) / denom)
-        phi = dual_big.point(y, zc, rand(n + 1))
+        phi = dual_big.point(y, zc, rand_int_vec(rng, n + 1, 4))
         first = vd_eval(phi, xpt.shift_core(omega.coeffs)) - vd_eval(phi, xpt)
         second = vd_eval(phi.shift_core(l2), xpt) - vd_eval(phi, xpt)
         if first != 1 or second != 1:
@@ -635,8 +637,7 @@ def afftg_and_duals(bundle: TrivialBispecial, omega: OneForm):
     inj_ok = True
     witness = None
     for _ in range(6):
-        rand = lambda k: Vec(Fraction(rng.randint(-5, 5)) for _ in range(k))
-        x, u, p, mu = rand(m), rand(n), rand(m), rand(n)
+        x, u, p, mu = (rand_int_vec(rng, k, 5) for k in (m, n, m, n))
         w = iota(bundle, x, u, p, mu)
         if lifts(w) != (0, 0):
             inj_ok, witness = False, "image misses the zero level"

@@ -31,6 +31,11 @@ def rand_vec(rng: random.Random, d: int) -> Vec:
     return Vec._trusted(tuple([rand_frac(rng) for _ in range(d)]))
 
 
+def rand_int_vec(rng: random.Random, d: int, bound: int) -> Vec:
+    """A vector of d integers drawn uniformly from [-bound, bound]."""
+    return Vec(Fraction(rng.randint(-bound, bound)) for _ in range(d))
+
+
 def nonzero_vec(rng: random.Random, d: int) -> Vec:
     while True:
         v = rand_vec(rng, d)

@@ -27,6 +27,11 @@ class CheckRecord:
         }
 
 
+def verdict(name: str, witness: Optional[str]) -> CheckRecord:
+    """A PASS record when there is no witness, else a FAIL record with it."""
+    return CheckRecord(name, PASS if witness is None else FAIL, witness)
+
+
 @dataclass(frozen=True)
 class Report:
     records: Tuple[CheckRecord, ...]

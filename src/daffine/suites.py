@@ -6,13 +6,23 @@ a document declares, using seeded random trials, and returns a
 (document, command, seed, trials).  Build commands construct derived objects
 and report their constraints and structure instead of checking anything
 random.
+
+Every suite and build op runs through ``_per_block``: it files each
+applicable block's records under ``"<name>: "``, and with no applicable
+block the report is one SKIP record saying what is missing.  The sampled
+suites also share one law runner, ``_sampled``.  Each keeps a law table, the
+names of the laws it samples in record order, and a trial: a generator that
+draws from trial ``i``'s own ``random.Random`` and yields ``(law, witness)``
+for each law that fails on its draws.  The runner plays the trials and gives
+one record per law: PASS, or FAIL with ``k/N trials failed; first: <witness>``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import dsl
 from .affine import BispecialRep
@@ -80,36 +90,15 @@ from .randgen import (
     rand_member,
     rand_vec,
 )
-from .report import FAIL, PASS, SKIP, CheckRecord, Report
+from .report import FAIL, PASS, SKIP, CheckRecord, Report, verdict
 
 # The graded constructions enumerate all {0,1}^n degrees; the command line
 # stops at order four to keep runs interactive.  The library itself is
 # n-generic.
 GRADED_ORDER_CAP = 4
 
-SUITE_NAMES = (
-    "interchange",
-    "model-hull",
-    "cocycle",
-    "duality-pairing",
-    "hvh",
-    "phase-tower",
-    "tau-kappa",
-    "naffine",
-)
-
-BUILD_OPS = (
-    "hull",
-    "model",
-    "classify",
-    "phase",
-    "contact",
-    "bbl",
-    "affctg",
-    "tbar",
-    "bbln",
-    "sides",
-)
+Blocks = List[Tuple[str, object]]
+Trial = Callable[[random.Random], Iterator[Tuple[str, str]]]
 
 
 def _trial_rng(seed: int, i: int) -> random.Random:
@@ -120,12 +109,19 @@ def _fmt_vec(v: Vec) -> str:
     return "[" + ", ".join(format_scalar(x) for x in v) + "]"
 
 
-def _pick(objs: Dict[str, object], cls) -> List[Tuple[str, object]]:
+def _pick(objs: Dict[str, object], cls) -> Blocks:
     return [(name, obj) for name, obj in sorted(objs.items()) if isinstance(obj, cls)]
 
 
-def _skip_all(reason: str) -> Report:
-    return Report.of([CheckRecord("no applicable blocks", SKIP, reason)])
+def _per_block(blocks: Blocks, missing: str, records_of: Callable[[object], Iterable[CheckRecord]]) -> Report:
+    """Each block's records under "<name>: ", or one SKIP record giving what
+    is missing when there are no blocks."""
+    if not blocks:
+        return Report.of([CheckRecord("no applicable blocks", SKIP, missing)])
+    report = Report.of([])
+    for name, block in blocks:
+        report = report.merged(Report.of(records_of(block)), prefix=f"{name}: ")
+    return report
 
 
 def _tally(name: str, failures: int, trials: int, witness: Optional[str], seed: int) -> CheckRecord:
@@ -134,9 +130,52 @@ def _tally(name: str, failures: int, trials: int, witness: Optional[str], seed: 
     return CheckRecord(name, PASS, None, seed)
 
 
+def _sampled(laws: Sequence[str], seed: int, trials: int, trial: Trial) -> List[CheckRecord]:
+    """One record per law of the table, in its order, over ``trials`` seeded
+    trials; a law's witness is the first it failed with."""
+    failures = dict.fromkeys(laws, 0)
+    first: Dict[str, str] = {}
+    for i in range(trials):
+        for law, witness in trial(_trial_rng(seed, i)):
+            failures[law] += 1
+            first[law] = first.get(law) or witness
+    return [_tally(law, failures[law], trials, first.get(law), seed) for law in laws]
+
+
 # ---------------------------------------------------------------------------
 # verify suites
 # ---------------------------------------------------------------------------
+
+# Law tables.  A law needing structure a block may lack comes last, so the
+# table's head is the table of a block without it.
+_INTERCHANGE_LAWS = (
+    "interchange law",
+    "restricted combinations agree on core fibers",
+    "combinations stay on the level set",  # blocks with affine structure
+)
+_MODEL_HULL_LAWS = (
+    "hull membership matches the level equations",
+    "model membership matches the homogeneous equations",
+)
+_DUALITY_LAWS = (
+    "pairing is interpolation independent",
+    "marked shifts move the pairing by one",  # special bundles
+)
+_PHASE_TOWER_LAWS = (
+    "level functions are flow invariant",
+    "projective classes absorb the flows",
+    "model injection hits the zero levels",
+    "every zero-level point is in the model image",
+    "distinguished section pairs to one",
+    "double decomposition round-trips",
+)
+_TAU_KAPPA_LAWS = (
+    "tau is natural under adapted changes",
+    "kappa lands in the dual contact set",
+    "kappa reverses the marked core direction",
+    "kappa descends to the projective sets",
+    "beta is an involution",
+)
 
 
 def _grid_points(rng: random.Random, block: dsl.DoubleBlock):
@@ -156,66 +195,48 @@ def _grid_points(rng: random.Random, block: dsl.DoubleBlock):
 
 
 def suite_interchange(objs: Dict[str, object], seed: int, trials: int) -> Report:
-    blocks = _pick(objs, dsl.DoubleBlock)
-    if not blocks:
-        return _skip_all("no double blocks")
-    report = Report.of([])
-    for name, block in blocks:
-        law_fail = fiber_fail = closure_fail = 0
-        law_wit = fiber_wit = closure_wit = None
-        for i in range(trials):
-            rng = _trial_rng(seed, i)
+    law, fiber, closure = _INTERCHANGE_LAWS
+
+    def records_of(block):
+        def trial(rng):
             grid, lam, mu = _grid_points(rng, block)
             first, second = interchange_sides(grid[0][0], grid[0][1], grid[1][0], grid[1][1], lam, mu)
             if first != second:
-                law_fail += 1
-                law_wit = law_wit or f"orders disagree at lam={lam}, mu={mu}"
+                yield law, f"orders disagree at lam={lam}, mu={mu}"
             if block.bundle is not None and not contains(block.bundle, first):
-                closure_fail += 1
-                closure_wit = closure_wit or f"combination left the level set at lam={lam}, mu={mu}"
+                yield closure, f"combination left the level set at lam={lam}, mu={mu}"
             p = grid[0][0]
             q = DoublePoint(block.space, p.y, p.z, rand_vec(rng, block.space.n3))
             if aff1(p, q, lam) != aff2(p, q, lam):
-                fiber_fail += 1
-                fiber_wit = fiber_wit or f"core-fiber combinations differ at lam={lam}"
-        records = [
-            _tally("interchange law", law_fail, trials, law_wit, seed),
-            _tally("restricted combinations agree on core fibers", fiber_fail, trials, fiber_wit, seed),
-        ]
-        if block.bundle is not None:
-            records.append(_tally("combinations stay on the level set", closure_fail, trials, closure_wit, seed))
-        report = report.merged(Report.of(records), prefix=f"{name}: ")
-    return report
+                yield fiber, f"core-fiber combinations differ at lam={lam}"
+
+        laws = _INTERCHANGE_LAWS if block.bundle is not None else _INTERCHANGE_LAWS[:2]
+        return _sampled(laws, seed, trials, trial)
+
+    return _per_block(_pick(objs, dsl.DoubleBlock), "no double blocks", records_of)
 
 
 def suite_model_hull(objs: Dict[str, object], seed: int, trials: int) -> Report:
-    doubles = _pick(objs, dsl.DoubleBlock)
-    atlases = _pick(objs, Atlas)
-    if not doubles and not atlases:
-        return _skip_all("no double or atlas blocks")
-    report = Report.of([])
-    for name, block in doubles:
+    hull_law, model_law = _MODEL_HULL_LAWS
+
+    def records_of(block):
+        if isinstance(block, Atlas):
+            return check_atlas_model_hull(block).records
         if block.bundle is None:
-            report = report.merged(
-                Report.of([CheckRecord("no affine structure", SKIP, "plain decomposed space")]),
-                prefix=f"{name}: ",
-            )
-            continue
+            return [CheckRecord("no affine structure", SKIP, "plain decomposed space")]
         a = block.bundle
         d = a.space
-        hull_fail = model_fail = 0
-        hull_wit = model_wit = None
-        for i in range(trials):
-            rng = _trial_rng(seed, i)
+
+        def trial(rng):
             p = DoublePoint(d, rand_vec(rng, d.n1), rand_vec(rng, d.n2), rand_vec(rng, d.n3))
             direct = a.l1.dot(p.y) == 1 and a.l2.dot(p.z) == 1
             if contains(a, p) != direct:
-                hull_fail += 1
-                hull_wit = hull_wit or f"membership disagreed at y={_fmt_vec(p.y)}, z={_fmt_vec(p.z)}"
+                yield hull_law, f"membership disagreed at y={_fmt_vec(p.y)}, z={_fmt_vec(p.z)}"
             homogeneous = a.l1.dot(p.y) == 0 and a.l2.dot(p.z) == 0
             if model_vv(a).contains(p) != homogeneous:
-                model_fail += 1
-                model_wit = model_wit or f"model membership disagreed at y={_fmt_vec(p.y)}"
+                yield model_law, f"model membership disagreed at y={_fmt_vec(p.y)}"
+
+        records = _sampled(_MODEL_HULL_LAWS, seed, trials, trial)
         md = model_vv(a)
         basis_ok = (
             len(md.side1_basis) == d.n1 - 1
@@ -224,82 +245,55 @@ def suite_model_hull(objs: Dict[str, object], seed: int, trials: int) -> Report:
             and all(a.l2.dot(v) == 0 for v in md.side2_basis)
         )
         h = hull(a)
-        records = [
-            _tally("hull membership matches the level equations", hull_fail, trials, hull_wit, seed),
-            _tally("model membership matches the homogeneous equations", model_fail, trials, model_wit, seed),
-            CheckRecord(
+        return records + [
+            verdict(
                 "model side bases span the kernels",
-                PASS if basis_ok else FAIL,
                 None if basis_ok else f"basis sizes {len(md.side1_basis)}, {len(md.side2_basis)}",
             ),
-            CheckRecord(
-                "hull is the ambient space",
-                PASS if h.space == d else FAIL,
-                None if h.space == d else f"hull dims {h.space.dims}",
-            ),
+            verdict("hull is the ambient space", None if h.space == d else f"hull dims {h.space.dims}"),
         ]
-        report = report.merged(Report.of(records), prefix=f"{name}: ")
-    for name, atlas in atlases:
-        report = report.merged(check_atlas_model_hull(atlas), prefix=f"{name}: ")
-    return report
+
+    blocks = _pick(objs, dsl.DoubleBlock) + _pick(objs, Atlas)
+    return _per_block(blocks, "no double or atlas blocks", records_of)
 
 
 def suite_cocycle(objs: Dict[str, object], seed: int, trials: int) -> Report:
-    atlases = _pick(objs, Atlas)
-    if not atlases:
-        return _skip_all("no atlas blocks")
-    report = Report.of([])
-    for name, atlas in atlases:
-        report = report.merged(cocycle_check(atlas), prefix=f"{name}: ")
-        extra = []
+    def records_of(atlas):
+        records = list(cocycle_check(atlas).records)
         for a, b, t in atlas.edges:
             diff = first_difference(linearize(t, "side1"), linearize(t, "side2"))
-            extra.append(
-                CheckRecord(
-                    f"partial linearizations commute {a}->{b}",
-                    PASS if diff is None else FAIL,
-                    diff,
-                )
-            )
-        report = report.merged(Report.of(extra), prefix=f"{name}: ")
-    return report
+            records.append(verdict(f"partial linearizations commute {a}->{b}", diff))
+        return records
+
+    return _per_block(_pick(objs, Atlas), "no atlas blocks", records_of)
+
+
+def _affine_blocks(objs: Dict[str, object]) -> Blocks:
+    return [(n, b) for n, b in _pick(objs, dsl.DoubleBlock) if b.bundle is not None]
 
 
 def suite_duality_pairing(objs: Dict[str, object], seed: int, trials: int) -> Report:
-    blocks = [(n, b) for n, b in _pick(objs, dsl.DoubleBlock) if b.bundle is not None]
-    if not blocks:
-        return _skip_all("no double blocks with affine structure")
-    report = Report.of([])
-    for name, block in blocks:
+    independent, shifts = _DUALITY_LAWS
+
+    def records_of(block):
         a = block.bundle
         d = a.space
         dv, dh = vertical_dual(d), horizontal_dual(d)
-        indep_fail = shift_fail = 0
-        indep_wit = shift_wit = None
-        for i in range(trials):
-            rng = _trial_rng(seed, i)
+
+        def trial(rng):
             phi, psi = rand_dual_pair(rng, a)
             try:
                 base = pairing(phi, psi, a)
             except ConstraintViolated as exc:
-                indep_fail += 1
-                indep_wit = indep_wit or str(exc)
-                continue
-            if a.is_special:
-                ok = (
-                    pairing(phi.shift_core(a.l2), psi, a) == base + 1
-                    and pairing(phi, psi.shift_core(-a.l1), a) == base + 1
-                )
-                if not ok:
-                    shift_fail += 1
-                    shift_wit = shift_wit or f"shift law broke at base value {format_scalar(base)}"
-        records = [
-            _tally("pairing is interpolation independent", indep_fail, trials, indep_wit, seed)
-        ]
-        if a.is_special:
-            records.append(
-                _tally("marked shifts move the pairing by one", shift_fail, trials, shift_wit, seed)
-            )
+                yield independent, str(exc)
+                return
+            if a.is_special and not (
+                pairing(phi.shift_core(a.l2), psi, a) == base + 1
+                and pairing(phi, psi.shift_core(-a.l1), a) == base + 1
+            ):
+                yield shifts, f"shift law broke at base value {format_scalar(base)}"
+
+        records = _sampled(_DUALITY_LAWS if a.is_special else _DUALITY_LAWS[:1], seed, trials, trial)
         gamma = Vec.zero(d.n3)
         gram = Mat(
             [
@@ -314,117 +308,81 @@ def suite_duality_pairing(objs: Dict[str, object], seed: int, trials: int) -> Re
                 for i in range(d.n2)
             ]
         )
-        records.append(
-            CheckRecord(
-                "pairing separates the dual bases",
-                PASS if gram.is_invertible() else FAIL,
-                None if gram.is_invertible() else f"gram rows {gram.rows}",
-            )
-        )
-        report = report.merged(Report.of(records), prefix=f"{name}: ")
-    return report
+        witness = None if gram.is_invertible() else f"gram rows {gram.rows}"
+        return records + [verdict("pairing separates the dual bases", witness)]
+
+    return _per_block(_affine_blocks(objs), "no double blocks with affine structure", records_of)
 
 
 def suite_hvh(objs: Dict[str, object], seed: int, trials: int) -> Report:
-    blocks = [(n, b) for n, b in _pick(objs, dsl.DoubleBlock) if b.bundle is not None]
-    if not blocks:
-        return _skip_all("no double blocks with affine structure")
-    report = Report.of([])
-    for name, block in blocks:
+    def records_of(block):
         a = block.bundle
         if not a.is_special:
-            report = report.merged(
-                Report.of([CheckRecord("needs a marked core vector", SKIP, "bundle is not special")]),
-                prefix=f"{name}: ",
-            )
-            continue
+            return [CheckRecord("needs a marked core vector", SKIP, "bundle is not special")]
         try:
             hvh_iso(a)
             chain = hvh_chain(a)
-            records = [
-                CheckRecord("composite of the three duals is the flipped adjoint", PASS),
-                CheckRecord(
-                    "chain dimensions",
-                    PASS,
-                    " -> ".join(str(s.space.dims) for s in chain),
-                ),
-            ]
         except DaffineError as exc:
-            records = [
-                CheckRecord("composite of the three duals is the flipped adjoint", FAIL, str(exc))
-            ]
-        report = report.merged(Report.of(records), prefix=f"{name}: ")
-    return report
+            return [CheckRecord("composite of the three duals is the flipped adjoint", FAIL, str(exc))]
+        return [
+            CheckRecord("composite of the three duals is the flipped adjoint", PASS),
+            CheckRecord("chain dimensions", PASS, " -> ".join(str(s.space.dims) for s in chain)),
+        ]
+
+    return _per_block(_affine_blocks(objs), "no double blocks with affine structure", records_of)
 
 
 def suite_phase_tower(objs: Dict[str, object], seed: int, trials: int) -> Report:
-    blocks = _pick(objs, dsl.SpecialBundleBlock)
-    if not blocks:
-        return _skip_all("no special_bundle blocks")
-    report = Report.of([])
-    for name, block in blocks:
+    invariant, orbit, injection, onto, pairs, round_trip = _PHASE_TOWER_LAWS
+
+    def records_of(block):
         e = block.bundle
-        inv_fail = orbit_fail = inj_fail = onto_fail = pair_fail = round_fail = 0
-        wit: Dict[str, Optional[str]] = {k: None for k in ("inv", "orbit", "inj", "onto", "pair", "round")}
         phasep = phase_set(PHASEP, e)
         affctg = phase_set(AFFCTG, e)
         contact = phase_set(CONTACT, e)
         bblset = phase_set(BBL, e)
-        for i in range(trials):
-            rng = _trial_rng(seed, i)
+
+        def trial(rng):
             w = rand_cotangent(rng, e)
             s, t = rand_frac(rng), rand_frac(rng)
             if lifts(chi(s, t, w)) != lifts(w):
-                inv_fail += 1
-                wit["inv"] = wit["inv"] or f"levels moved under the flows at s={s}, t={t}"
+                yield invariant, f"levels moved under the flows at s={s}, t={t}"
             member = rand_member(rng, phasep)
             if phasep.reduce(chi(s, t, member.point)) != member:
-                orbit_fail += 1
-                wit["orbit"] = wit["orbit"] or f"projective class split at s={s}, t={t}"
+                yield orbit, f"projective class split at s={s}, t={t}"
             x, u = rand_vec(rng, e.base_dim), rand_vec(rng, e.n)
             p, mu = rand_vec(rng, e.base_dim), rand_vec(rng, e.n)
             img = iota(e, x, u, p, mu)
             if lifts(img) != (0, 0) or iota_inverse(img) != (x, u, p, mu):
-                inj_fail += 1
-                wit["inj"] = wit["inj"] or "model injection failed to invert"
+                yield injection, "model injection failed to invert"
             free = rand_member(rng, affctg)
             zeroed = free.point.with_slot(("y", e.alpha_index), Fraction(0)).with_slot(
                 ("pi", e.v_index), Fraction(0)
             )
             w0 = affctg.reduce(zeroed)
             if iota(e, *iota_inverse(w0)) != w0:
-                onto_fail += 1
-                wit["onto"] = wit["onto"] or "zero-level point missed by the model injection"
+                yield onto, "zero-level point missed by the model injection"
             c = rand_member(rng, contact)
             if contact_tangent_pairing(c, x_section(e, c.point.x, c.point.y)) != 1:
-                pair_fail += 1
-                wit["pair"] = wit["pair"] or "distinguished section did not pair to one"
+                yield pairs, "distinguished section did not pair to one"
             b = rand_member(rng, bblset)
             q = to_double_point(bblset, b)
             if from_double_point(bblset, q, b.point.x) != b:
-                round_fail += 1
-                wit["round"] = wit["round"] or "double decomposition did not round-trip"
-        records = [
-            _tally("level functions are flow invariant", inv_fail, trials, wit["inv"], seed),
-            _tally("projective classes absorb the flows", orbit_fail, trials, wit["orbit"], seed),
-            _tally("model injection hits the zero levels", inj_fail, trials, wit["inj"], seed),
-            _tally("every zero-level point is in the model image", onto_fail, trials, wit["onto"], seed),
-            _tally("distinguished section pairs to one", pair_fail, trials, wit["pair"], seed),
-            _tally("double decomposition round-trips", round_fail, trials, wit["round"], seed),
-        ]
-        report = report.merged(Report.of(records), prefix=f"{name}: ")
-        if block.omega is not None:
-            _, _, dual_report = afftg_and_duals(e, block.omega)
-            report = report.merged(dual_report, prefix=f"{name}: dual tower: ")
-    return report
+                yield round_trip, "double decomposition did not round-trip"
+
+        sampled = Report.of(_sampled(_PHASE_TOWER_LAWS, seed, trials, trial))
+        if block.omega is None:
+            return sampled.records
+        _, _, dual_report = afftg_and_duals(e, block.omega)
+        return sampled.merged(dual_report, prefix="dual tower: ").records
+
+    return _per_block(_pick(objs, dsl.SpecialBundleBlock), "no special_bundle blocks", records_of)
 
 
 def suite_tau_kappa(objs: Dict[str, object], seed: int, trials: int) -> Report:
-    blocks = _pick(objs, dsl.SpecialBundleBlock)
-    if not blocks:
-        return _skip_all("no special_bundle blocks")
-    report = Report.of([])
-    for name, block in blocks:
+    natural, lands, flips, descends, involution = _TAU_KAPPA_LAWS
+
+    def records_of(block):
         e = block.bundle
         dual = e.dual_bundle()
         contact = phase_set(CONTACT, e)
@@ -432,59 +390,42 @@ def suite_tau_kappa(objs: Dict[str, object], seed: int, trials: int) -> Report:
         phasep = phase_set(PHASEP, e)
         dual_phasep = phase_set(PHASEP, dual)
         m = e.base_dim
-        nat_fail = land_fail = flip_fail = desc_fail = invol_fail = 0
-        wit: Dict[str, Optional[str]] = {k: None for k in ("nat", "land", "flip", "desc", "invol")}
-        for i in range(trials):
-            rng = _trial_rng(seed, i)
+
+        def trial(rng):
             c = rand_member(rng, contact)
             mat = rand_adapted(rng, e)
             if apply_adapted(tau(c), mat) != tau(apply_adapted(c, mat)):
-                nat_fail += 1
-                wit["nat"] = wit["nat"] or "tau disagreed across an adapted basis change"
+                yield natural, "tau disagreed across an adapted basis change"
             k = kappa(c)
             if not dual_contact.contains(k):
-                land_fail += 1
-                wit["land"] = wit["land"] or "kappa left the dual contact set"
+                yield lands, "kappa left the dual contact set"
             r = rand_frac(rng)
             shifted = contact.reduce(c.point.with_slot(("y", e.v_index), c.point.y[e.v_index] + r))
             q1 = to_double_point(dual_contact, k)
             q2 = to_double_point(dual_contact, kappa(shifted))
             delta = Vec(tuple(Fraction(0) for _ in range(m)) + (-r,))
             if q2.y != q1.y or q2.z != q1.z or q2.c - q1.c != delta:
-                flip_fail += 1
-                wit["flip"] = wit["flip"] or f"core moved by {_fmt_vec(q2.c - q1.c)} instead of {_fmt_vec(delta)}"
+                yield flips, f"core moved by {_fmt_vec(q2.c - q1.c)} instead of {_fmt_vec(delta)}"
             if phase_kappa(phasep.reduce(c)) != dual_phasep.reduce(k):
-                desc_fail += 1
-                wit["desc"] = wit["desc"] or "kappa did not descend to the projective sets"
+                yield descends, "kappa did not descend to the projective sets"
             w = rand_cotangent(rng, e)
             if beta(beta(w)) != w:
-                invol_fail += 1
-                wit["invol"] = wit["invol"] or "beta failed to be an involution"
-        records = [
-            _tally("tau is natural under adapted changes", nat_fail, trials, wit["nat"], seed),
-            _tally("kappa lands in the dual contact set", land_fail, trials, wit["land"], seed),
-            _tally("kappa reverses the marked core direction", flip_fail, trials, wit["flip"], seed),
-            _tally("kappa descends to the projective sets", desc_fail, trials, wit["desc"], seed),
-            _tally("beta is an involution", invol_fail, trials, wit["invol"], seed),
-        ]
-        report = report.merged(Report.of(records), prefix=f"{name}: ")
-    return report
+                yield involution, "beta failed to be an involution"
+
+        return _sampled(_TAU_KAPPA_LAWS, seed, trials, trial)
+
+    return _per_block(_pick(objs, dsl.SpecialBundleBlock), "no special_bundle blocks", records_of)
 
 
 def suite_naffine(objs: Dict[str, object], seed: int, trials: int) -> Report:
-    blocks = _pick(objs, NAffine)
-    if not blocks:
-        return _skip_all("no graded blocks")
-    report = Report.of([])
-    for name, a in blocks:
+    def records_of(a):
         if a.space.n > GRADED_ORDER_CAP:
-            sub = Report.of([CheckRecord("order above the command-line cap", SKIP, f"order {a.space.n}")])
-        elif not a.is_special:
-            sub = Report.of([CheckRecord("needs a marked section", SKIP, "graded block has no sigma")])
-        else:
-            sub = side_base_duality_report(a, seed=seed, trials=min(trials, 20))
-        report = report.merged(sub, prefix=f"{name}: ")
-    return report
+            return [CheckRecord("order above the command-line cap", SKIP, f"order {a.space.n}")]
+        if not a.is_special:
+            return [CheckRecord("needs a marked section", SKIP, "graded block has no sigma")]
+        return side_base_duality_report(a, seed=seed, trials=min(trials, 20)).records
+
+    return _per_block(_pick(objs, NAffine), "no graded blocks", records_of)
 
 
 SUITES: Dict[str, Callable[[Dict[str, object], int, int], Report]] = {
@@ -497,6 +438,7 @@ SUITES: Dict[str, Callable[[Dict[str, object], int, int], Report]] = {
     "tau-kappa": suite_tau_kappa,
     "naffine": suite_naffine,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -535,51 +477,35 @@ def _check(doc: dsl.Document, objs: Dict[str, object]) -> Report:
     return Report.of(records)
 
 
-def _build_hull(objs: Dict[str, object]) -> Report:
-    records = []
-    for name, block in _pick(objs, dsl.DoubleBlock):
+def _build_affine(label: str, describe: Callable, objs: Dict[str, object], seed: int) -> Report:
+    def records_of(block):
         if block.bundle is None:
-            records.append(CheckRecord(f"{name}: hull", SKIP, "no affine structure"))
-            continue
-        h = hull(block.bundle)
-        records.append(
-            CheckRecord(
-                f"{name}: hull",
-                PASS,
-                f"ambient dims {h.space.dims}; level functions l1 = {_fmt_vec(h.l1)}, "
-                f"l2 = {_fmt_vec(h.l2)} at value 1",
-            )
-        )
-    return Report.of(records) if records else _skip_all("no double blocks")
+            return [CheckRecord(label, SKIP, "no affine structure")]
+        return [CheckRecord(label, PASS, describe(block.bundle))]
+
+    return _per_block(_pick(objs, dsl.DoubleBlock), "no double blocks", records_of)
 
 
-def _build_model(objs: Dict[str, object]) -> Report:
-    records = []
-    for name, block in _pick(objs, dsl.DoubleBlock):
-        if block.bundle is None:
-            records.append(CheckRecord(f"{name}: model", SKIP, "no affine structure"))
-            continue
-        md = model_vv(block.bundle)
-        records.append(
-            CheckRecord(
-                f"{name}: model",
-                PASS,
-                f"constraints l1 = 0 and l2 = 0; dims {md.dims}; side basis sizes "
-                f"({len(md.side1_basis)}, {len(md.side2_basis)})",
-            )
-        )
-    return Report.of(records) if records else _skip_all("no double blocks")
+def _hull_structure(a) -> str:
+    h = hull(a)
+    return f"ambient dims {h.space.dims}; level functions l1 = {_fmt_vec(h.l1)}, l2 = {_fmt_vec(h.l2)} at value 1"
 
 
-def _build_classify(objs: Dict[str, object]) -> Report:
-    records = []
-    for name, block in _pick(objs, dsl.DoubleBlock):
+def _model_structure(a) -> str:
+    md = model_vv(a)
+    return (
+        f"constraints l1 = 0 and l2 = 0; dims {md.dims}; side basis sizes "
+        f"({len(md.side1_basis)}, {len(md.side2_basis)})"
+    )
+
+
+def _build_classify(objs: Dict[str, object], seed: int) -> Report:
+    def records_of(block):
         if block.constraints is None:
-            records.append(CheckRecord(f"{name}: classification", SKIP, "no constraint rows"))
-            continue
+            return [CheckRecord("classification", SKIP, "no constraint rows")]
         cls = classify_level_set(block.space, block.constraints)
-        verdict = "a double affine subbundle" if cls.is_subbundle else "not a double affine subbundle"
-        witness = f"{verdict}: {cls.reason}"
+        verdict_text = "a double affine subbundle" if cls.is_subbundle else "not a double affine subbundle"
+        witness = f"{verdict_text}: {cls.reason}"
         if cls.witness is not None:
             parts = [
                 f"{label} = {_fmt_vec(val)}"
@@ -587,141 +513,105 @@ def _build_classify(objs: Dict[str, object]) -> Report:
                 if val is not None
             ]
             witness += "; witness " + ", ".join(parts)
-        records.append(CheckRecord(f"{name}: classification", PASS, witness))
-    return Report.of(records) if records else _skip_all("no double blocks")
+        return [CheckRecord("classification", PASS, witness)]
+
+    return _per_block(_pick(objs, dsl.DoubleBlock), "no double blocks", records_of)
 
 
-_PHASE_OPS = {
-    "phase": PHASEP,
-    "contact": CONTACT,
-    "bbl": BBL,
-    "affctg": AFFCTG,
-}
+def _build_phase(op: str, kind: str, structure: Optional[Callable], objs: Dict[str, object], seed: int) -> Report:
+    """One phase set per special bundle: its mask, constraints and double
+    structure (``structure(block)``, or plain decomposed when None)."""
 
-
-def _build_phase(objs: Dict[str, object], op: str) -> Report:
-    kind = _PHASE_OPS[op]
-    records = []
-    for name, block in _pick(objs, dsl.SpecialBundleBlock):
+    def records_of(block):
         e = block.bundle
         ps = phase_set(kind, e)
         mask = ", ".join(f"{s}[{i}]" for s, i in sorted(ps.mask)) or "none"
-        cons = (
-            "; ".join(f"{s}[{i}] = {format_scalar(v)}" for (s, i), v in ps.constraints)
-            or "none"
-        )
-        records.append(CheckRecord(f"{name}: {op} mask", PASS, mask))
-        records.append(CheckRecord(f"{name}: {op} constraints", PASS, cons))
-        if kind == BBL:
-            a = bbl_double_affine(e)
-        elif kind == CONTACT:
-            a = contact_double_affine(e)
-        elif kind == PHASEP:
-            a = phasep_double_affine(e, block.omega)
+        cons = "; ".join(f"{s}[{i}] = {format_scalar(v)}" for (s, i), v in ps.constraints) or "none"
+        if structure is None:
+            shape = f"plain decomposed space, dims {affctg_double(e).dims}"
         else:
-            a = None
-        if a is None:
-            structure = f"plain decomposed space, dims {affctg_double(e).dims}"
-        else:
-            structure = f"dims {a.space.dims}, l1 = {_fmt_vec(a.l1)}, l2 = {_fmt_vec(a.l2)}"
+            a = structure(block)
+            shape = f"dims {a.space.dims}, l1 = {_fmt_vec(a.l1)}, l2 = {_fmt_vec(a.l2)}"
             if a.sigma is not None:
-                structure += f", sigma = {_fmt_vec(a.sigma)}"
-        records.append(CheckRecord(f"{name}: {op} double structure", PASS, structure))
-    return Report.of(records) if records else _skip_all("no special_bundle blocks")
+                shape += f", sigma = {_fmt_vec(a.sigma)}"
+        return [
+            CheckRecord(f"{op} mask", PASS, mask),
+            CheckRecord(f"{op} constraints", PASS, cons),
+            CheckRecord(f"{op} double structure", PASS, shape),
+        ]
+
+    return _per_block(_pick(objs, dsl.SpecialBundleBlock), "no special_bundle blocks", records_of)
 
 
 def _build_tbar(objs: Dict[str, object], seed: int) -> Report:
-    records = []
-    for name, block in _pick(objs, dsl.SpecialBundleBlock):
+    def records_of(block):
         e = block.bundle
-        records.append(
-            CheckRecord(
-                f"{name}: tbar structure",
-                PASS,
-                f"tangent classes over base dim {e.base_dim}, hull dim {e.hull_dim}; "
-                "orbit invariant stored in the velocity v-slot",
-            )
-        )
-        ok = True
         witness = None
         for i in range(5):
             rng = _trial_rng(seed, i)
             c = rand_member(rng, phase_set(CONTACT, e))
             if contact_tangent_pairing(c, x_section(e, c.point.x, c.point.y)) != 1:
-                ok = False
                 witness = "distinguished section did not pair to one"
                 break
-        records.append(
-            CheckRecord(f"{name}: tbar distinguished section pairs to one", PASS if ok else FAIL, witness)
-        )
-    return Report.of(records) if records else _skip_all("no special_bundle blocks")
-
-
-def _build_bbln(objs: Dict[str, object]) -> Report:
-    records = []
-    for name, a in _pick(objs, NAffine):
-        if a.space.n > GRADED_ORDER_CAP:
-            records.append(
-                CheckRecord(f"{name}: big bundle", SKIP, f"order {a.space.n} above the command-line cap")
-            )
-            continue
-        if not a.is_special:
-            records.append(CheckRecord(f"{name}: big bundle", SKIP, "graded block has no sigma"))
-            continue
-        big = bbl_n(a)
-        comp = ", ".join(
-            "".join(map(str, deg)) + f":{big.space.dim_of(deg)}" for deg in big.space.degrees()
-        )
-        records.append(
+        return [
             CheckRecord(
-                f"{name}: big bundle",
+                "tbar structure",
                 PASS,
-                f"order {big.space.n}, components {comp}, {len(big.functionals)} level functions",
-            )
-        )
-    return Report.of(records) if records else _skip_all("no graded blocks")
+                f"tangent classes over base dim {e.base_dim}, hull dim {e.hull_dim}; "
+                "orbit invariant stored in the velocity v-slot",
+            ),
+            verdict("tbar distinguished section pairs to one", witness),
+        ]
+
+    return _per_block(_pick(objs, dsl.SpecialBundleBlock), "no special_bundle blocks", records_of)
 
 
-def _build_sides(objs: Dict[str, object]) -> Report:
-    records = []
-    for name, a in _pick(objs, NAffine):
+def _build_graded(label: str, records_of_big: Callable, objs: Dict[str, object], seed: int) -> Report:
+    """Records of the big bundle of each marked graded block within the cap."""
+
+    def records_of(a):
         if a.space.n > GRADED_ORDER_CAP:
-            records.append(
-                CheckRecord(f"{name}: side bases", SKIP, f"order {a.space.n} above the command-line cap")
-            )
-            continue
+            return [CheckRecord(label, SKIP, f"order {a.space.n} above the command-line cap")]
         if not a.is_special:
-            records.append(CheckRecord(f"{name}: side bases", SKIP, "graded block has no sigma"))
-            continue
-        big = bbl_n(a)
-        for k, side in enumerate(side_bases(big)):
-            mark = "marked" if side.is_special else "unmarked"
-            records.append(
-                CheckRecord(
-                    f"{name}: side base {k + 1}",
-                    PASS,
-                    f"order {side.space.n}, total dim {side.space.total_dim}, {mark}",
-                )
-            )
-    return Report.of(records) if records else _skip_all("no graded blocks")
+            return [CheckRecord(label, SKIP, "graded block has no sigma")]
+        return records_of_big(bbl_n(a))
+
+    return _per_block(_pick(objs, NAffine), "no graded blocks", records_of)
 
 
-def _build(objs: Dict[str, object], op: str, seed: int) -> Report:
-    if op in ("hull",):
-        return _build_hull(objs)
-    if op == "model":
-        return _build_model(objs)
-    if op == "classify":
-        return _build_classify(objs)
-    if op in _PHASE_OPS:
-        return _build_phase(objs, op)
-    if op == "tbar":
-        return _build_tbar(objs, seed)
-    if op == "bbln":
-        return _build_bbln(objs)
-    if op == "sides":
-        return _build_sides(objs)
-    raise UnknownOp(f"unknown build op {op!r}; choose from {', '.join(BUILD_OPS)}")
+def _big_bundle_records(big: NAffine) -> List[CheckRecord]:
+    comp = ", ".join("".join(map(str, deg)) + f":{big.space.dim_of(deg)}" for deg in big.space.degrees())
+    return [
+        CheckRecord(
+            "big bundle",
+            PASS,
+            f"order {big.space.n}, components {comp}, {len(big.functionals)} level functions",
+        )
+    ]
+
+
+def _side_base_records(big: NAffine) -> List[CheckRecord]:
+    records = []
+    for k, side in enumerate(side_bases(big)):
+        mark = "marked" if side.is_special else "unmarked"
+        detail = f"order {side.space.n}, total dim {side.space.total_dim}, {mark}"
+        records.append(CheckRecord(f"side base {k + 1}", PASS, detail))
+    return records
+
+
+BUILDS: Dict[str, Callable[[Dict[str, object], int], Report]] = {
+    "hull": partial(_build_affine, "hull", _hull_structure),
+    "model": partial(_build_affine, "model", _model_structure),
+    "classify": _build_classify,
+    "phase": partial(_build_phase, "phase", PHASEP, lambda b: phasep_double_affine(b.bundle, b.omega)),
+    "contact": partial(_build_phase, "contact", CONTACT, lambda b: contact_double_affine(b.bundle)),
+    "bbl": partial(_build_phase, "bbl", BBL, lambda b: bbl_double_affine(b.bundle)),
+    "affctg": partial(_build_phase, "affctg", AFFCTG, None),
+    "tbar": _build_tbar,
+    "bbln": partial(_build_graded, "big bundle", _big_bundle_records),
+    "sides": partial(_build_graded, "side bases", _side_base_records),
+}
+BUILD_OPS = tuple(BUILDS)
 
 
 def run(doc: dsl.Document, command: str, seed: int = 0, trials: int = 100) -> Report:
@@ -733,7 +623,10 @@ def run(doc: dsl.Document, command: str, seed: int = 0, trials: int = 100) -> Re
     if command == "check":
         return _check(doc, objs)
     if command.startswith("build:"):
-        return _build(objs, command[len("build:"):], seed)
+        op = command[len("build:"):]
+        if op not in BUILDS:
+            raise UnknownOp(f"unknown build op {op!r}; choose from {', '.join(BUILD_OPS)}")
+        return BUILDS[op](objs, seed)
     if command.startswith("verify:"):
         suite = command[len("verify:"):]
         if suite not in SUITES:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 import daffine.atlas as atlas_module
-from daffine import dsl, randgen
+from daffine import cli, dsl, randgen
 from daffine.double import DecomposedDouble, DoubleMorphism
 from daffine.atlas import (
     Atlas,
@@ -442,6 +442,8 @@ def test_induced_transitions_keep_their_samples_without_checking_them_again(monk
         linearize(t, "side2"),
         atlas_module.partial_model_side1(t),
         atlas_module.partial_model_side2(t),
+        restrict_hull(induce_hull(t), 1, 1),
+        restrict_hull(induce_hull(t), 0, 0),
     ]
     assert checked == []
     assert all(u.samples == t.samples for u in induced)
@@ -810,10 +812,15 @@ def reference_check_atlas_model_hull(atlas):
         for b2, c, _ in atlas.edges:
             if b2 != b or a == b or b == c:
                 continue
-            t_ac = compose(atlas.transition(a, b), atlas.transition(b, c))
+            try:
+                t_ac, error = compose(atlas.transition(a, b), atlas.transition(b, c)), None
+            except DaffineError as exc:
+                t_ac, error = None, str(exc)
             for kind, induce, induced in (("model", induce_model, model_atlas), ("hull", induce_hull, hull_atlas)):
-                path = compose(induced.transition(a, b), induced.transition(b, c))
-                diff = first_difference(induce(t_ac), path)
+                diff = error
+                if t_ac is not None:
+                    path = compose(induced.transition(a, b), induced.transition(b, c))
+                    diff = first_difference(induce(t_ac), path)
                 extra.append(CheckRecord(f"{kind} functorial {a}->{b}->{c}", PASS if diff is None else FAIL, diff))
     return report.merged(Report.of(extra))
 
@@ -904,3 +911,27 @@ def test_a_perturbed_edge_fails_with_the_witness_of_its_own_composite(edge, name
     assert report.to_json() == reference_cocycle_check(bent).to_json()
     fresh = Atlas(2, (1, 1, 1), atlas.charts, edges)
     assert check_atlas_model_hull(fresh).to_json() == reference_check_atlas_model_hull(fresh).to_json()
+
+
+def test_a_singular_composite_fails_its_functoriality_records(tmp_path, capsys):
+    """A two-step composite singular at a sample point fails both of its
+    functoriality records with the error, as cocycle_check fails its
+    triangle, instead of aborting the model-hull report."""
+    atlas = randgen.three_chart_atlas(random.Random(1), 1, (1, 1, 1))
+    edges = list(atlas.edges)
+    a, b, t = edges[1]
+    edges[1] = (a, b, replace(t, alpha=t.alpha + Mat([[Poly.variable(1, 0)]])))
+    bent = Atlas(1, atlas.fiber_dims, atlas.charts, tuple(edges))
+    error = "alpha block is singular at sample point (Fraction(-5, 1),)"
+    assert CheckRecord("triangle c->b->a", FAIL, error) in cocycle_check(bent).records
+    report = check_atlas_model_hull(bent)
+    for kind in ("model", "hull"):
+        assert CheckRecord(f"{kind} functorial c->b->a", FAIL, error) in report.records
+    fresh = Atlas(1, atlas.fiber_dims, atlas.charts, tuple(edges))
+    assert report.to_json() == reference_check_atlas_model_hull(fresh).to_json()
+
+    path = tmp_path / "singular.daff"
+    path.write_text(dsl.print_document(dsl.Document((dsl.block_from_atlas("tri", bent),))))
+    for suite in ("cocycle", "model-hull"):
+        assert cli.main(["verify", "--suite", suite, str(path)]) == 1
+        assert f"FAIL tri: {'model ' if suite == 'model-hull' else ''}triangle c->b->a -- {error}" in capsys.readouterr().out

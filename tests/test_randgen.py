@@ -17,7 +17,7 @@ import pytest
 from daffine.exact import Mat, Vec
 from daffine.phase import AFFCTG, BBL, CONTACT, PHASEP, CotangentPoint, PhaseSet, ReducedCovector, TrivialBispecial
 from daffine.errors import DimMismatch
-from daffine.randgen import point_on, rand_adapted, rand_cotangent, rand_frac, rand_member, rand_vec
+from daffine.randgen import point_on, rand_adapted, rand_cotangent, rand_frac, rand_int_vec, rand_member, rand_vec
 
 SEEDS = range(100)
 BUNDLES = (TrivialBispecial(1, 3), TrivialBispecial(2, 1), TrivialBispecial(2, 1, dual_form=True), TrivialBispecial(0, 0))
@@ -105,6 +105,8 @@ def test_samplers_match_the_plain_formulas_and_stream(seed):
         _same(rand_frac(rng), _oracle_frac(oracle))
     for d in (0, 1, 3, 5):
         _same(rand_vec(rng, d), _oracle_vec(oracle, d))
+    for d, bound in ((0, 4), (1, 4), (3, 4), (2, 5), (4, 5)):
+        _same(rand_int_vec(rng, d, bound), Vec(Fraction(oracle.randint(-bound, bound)) for _ in range(d)))
     for l in FUNCTIONALS:
         v = point_on(l, rng)
         _same(v, _oracle_point_on(l, oracle))
