@@ -10,8 +10,9 @@ coefficient functions in the base coordinates x1..xm:
          + gamma_yz(x)(y, z) + sigma(x) c          (core)
 
 Over each base point this is a double affine morphism of the fibers, so a
-transition carries DoubleMorphism's nine blocks under the same names and uses
-its block algebra: one shape check (blocks_fit), one composite formula
+transition carries DoubleMorphism's nine blocks under the same names (BLOCKS
+lists them once, in report order, with their kinds) and uses its block
+algebra: one shape check (blocks_fit), one composite formula
 (composite_blocks, applied after the second transition is pulled back through
 the first base map), and evaluation at a base point (as_double_morphism).
 This shape is closed under composition and (for unit-determinant blocks)
@@ -53,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice, product
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
@@ -77,47 +78,79 @@ def _lift(value, m: int) -> Poly:
     return Poly.const(m, value)
 
 
-def _vmap(fn: Callable, v: Vec) -> Vec:
-    return Vec(fn(x) for x in v)
+# every block of a transition in report order, with its kind
+BLOCKS = (
+    ("alpha0", Vec),
+    ("alpha", Mat),
+    ("beta0", Vec),
+    ("beta", Mat),
+    ("gamma00", Vec),
+    ("gamma_y", Mat),
+    ("gamma_z", Mat),
+    ("gamma_yz", Bilinear),
+    ("sigma", Mat),
+)
+_BLOCK_ORDER = tuple(name for name, _ in BLOCKS)
+
+# each kind's rank and the attribute holding its entries as nested tuples
+_LAYOUT = {Vec: (1, "entries"), Mat: (2, "rows"), Bilinear: (3, "entries")}
 
 
-def _mmap(fn: Callable, m: Mat) -> Mat:
-    return Mat(tuple(fn(x) for x in row) for row in m.rows)
-
-
-def _bmap(fn: Callable, b: Bilinear) -> Bilinear:
-    return Bilinear(
-        tuple(tuple(tuple(fn(x) for x in row) for row in layer) for layer in b.entries)
+def _has_rank(value, rank: int) -> bool:
+    """Is value tuples or lists nested rank levels deep?"""
+    return isinstance(value, (tuple, list)) and (
+        rank == 1 or all(_has_rank(x, rank - 1) for x in value)
     )
 
 
-# every block of a transition in report order, with its type and entrywise map
-_BLOCKS = (
-    ("alpha0", Vec, _vmap),
-    ("alpha", Mat, _mmap),
-    ("beta0", Vec, _vmap),
-    ("beta", Mat, _mmap),
-    ("gamma00", Vec, _vmap),
-    ("gamma_y", Mat, _mmap),
-    ("gamma_z", Mat, _mmap),
-    ("gamma_yz", Bilinear, _bmap),
-    ("sigma", Mat, _mmap),
-)
-_BLOCK_ORDER = tuple(name for name, _, _ in _BLOCKS)
+def _deep_map(fn: Callable, nested, rank: int) -> tuple:
+    if rank == 1:
+        return tuple(map(fn, nested))
+    return tuple([_deep_map(fn, x, rank - 1) for x in nested])
 
 
-def _entries(block) -> Iterable:
-    if isinstance(block, Vec):
-        return block.entries
-    if isinstance(block, Mat):
-        return chain.from_iterable(block.rows)
-    return chain.from_iterable(chain.from_iterable(block.entries))
+def map_entries(fn: Callable, kind: type, block) -> tuple:
+    """fn of every entry of a block, as nested tuples of its kind's rank.
+
+    The block is one of that kind or nested sequences of its rank; any other
+    shape raises DimMismatch before fn sees an entry.
+    """
+    rank, attr = _LAYOUT[kind]
+    if isinstance(block, kind):
+        return _deep_map(fn, getattr(block, attr), rank)
+    if not _has_rank(block, rank):
+        raise DimMismatch(f"expected a {kind.__name__} or sequences nested {rank} deep")
+    return _deep_map(fn, block, rank)
+
+
+def _map(fn: Callable, kind: type, block):
+    """The block of this kind with fn applied to every entry."""
+    return kind(map_entries(fn, kind, block))
+
+
+def _entries(block, kind: type) -> Iterable:
+    """Every entry of a block of this kind, in row-major order."""
+    rank, attr = _LAYOUT[kind]
+    entries = getattr(block, attr)
+    for _ in range(rank - 1):
+        entries = chain.from_iterable(entries)
+    return entries
+
+
+def _subscript(block, kind: type, k: int) -> str:
+    """``[i]``, ``[i][j]`` or ``[u][i][j]``: where the k-th entry, row-major, sits."""
+    rank, attr = _LAYOUT[kind]
+    nested, shape = getattr(block, attr), []
+    for _ in range(rank):
+        shape.append(len(nested))
+        nested = nested[0]
+    return "".join(f"[{i}]" for i in next(islice(product(*map(range, shape)), k, None)))
 
 
 def _is_lifted(block, kind: type, m: int) -> bool:
     """Is the block of the right type with every entry a polynomial in m variables?"""
     return isinstance(block, kind) and all(
-        isinstance(e, Poly) and e.nvars == m for e in _entries(block)
+        isinstance(e, Poly) and e.nvars == m for e in _entries(block, kind)
     )
 
 
@@ -140,10 +173,10 @@ class TransitionData:
     def __post_init__(self):
         m = self.base_map.dim
         lift = lambda v: _lift(v, m)
-        for name, kind, fmap in _BLOCKS:
+        for name, kind in BLOCKS:
             block = getattr(self, name)
             if not _is_lifted(block, kind, m):
-                object.__setattr__(self, name, fmap(lift, block))
+                object.__setattr__(self, name, _map(lift, kind, block))
         object.__setattr__(self, "samples", tuple(self.samples))
 
         dims = self.fiber_dims
@@ -154,7 +187,7 @@ class TransitionData:
                 raise DimMismatch("sample point dimension does not match the base")
             at = _at(s)
             for label, mat in (("alpha", self.alpha), ("beta", self.beta), ("sigma", self.sigma)):
-                if not _mmap(at, mat).is_invertible():
+                if not _map(at, Mat, mat).is_invertible():
                     raise SingularMatrix(
                         f"{label} block is singular at sample point {tuple(s)}"
                     )
@@ -187,7 +220,7 @@ def as_double_morphism(t: TransitionData, x: Vec) -> DoubleMorphism:
     """The fiber map of the transition over the base point x."""
     d = DecomposedDouble(*t.fiber_dims)
     at = _at(x)
-    return DoubleMorphism(d, d, **{name: fmap(at, getattr(t, name)) for name, _, fmap in _BLOCKS})
+    return DoubleMorphism(d, d, **{name: _map(at, kind, getattr(t, name)) for name, kind in BLOCKS})
 
 
 def apply_transition(t: TransitionData, x: Vec, y: Vec, z: Vec, c: Vec):
@@ -208,7 +241,9 @@ def compose(first: TransitionData, second: TransitionData) -> TransitionData:
     if first.base_dim != second.base_dim or first.fiber_dims != second.fiber_dims:
         raise DimMismatch("transitions are not composable")
     pull = first.base_map.pullback
-    pulled = SimpleNamespace(**{name: fmap(pull, getattr(second, name)) for name, _, fmap in _BLOCKS})
+    pulled = SimpleNamespace(
+        **{name: _map(pull, kind, getattr(second, name)) for name, kind in BLOCKS}
+    )
     return TransitionData(
         base_map=first.base_map.then(second.base_map),
         samples=first.samples,
@@ -236,21 +271,21 @@ def inverse(t: TransitionData) -> TransitionData:
     s_inv = _poly_mat_inverse(t.sigma)
     u0 = a_inv @ t.alpha0
     w0 = b_inv @ t.beta0
+    blocks = dict(
+        alpha0=-u0,
+        alpha=a_inv,
+        beta0=-w0,
+        beta=b_inv,
+        gamma00=-(s_inv @ (t.gamma00 - t.gamma_y @ u0 - t.gamma_z @ w0 + t.gamma_yz.apply(u0, w0))),
+        gamma_y=-(s_inv @ (t.gamma_y @ a_inv - t.gamma_yz.right_vec(w0) @ a_inv)),
+        gamma_z=-(s_inv @ (t.gamma_z @ b_inv - t.gamma_yz.left_vec(u0) @ b_inv)),
+        gamma_yz=-t.gamma_yz.left_mat(a_inv).right_mat(b_inv).post(s_inv),
+        sigma=s_inv,
+    )
     pull = base_inv.pullback
     return TransitionData(
         base_map=base_inv,
-        alpha0=_vmap(pull, -(a_inv @ t.alpha0)),
-        alpha=_mmap(pull, a_inv),
-        beta0=_vmap(pull, -(b_inv @ t.beta0)),
-        beta=_mmap(pull, b_inv),
-        gamma00=_vmap(
-            pull,
-            -(s_inv @ (t.gamma00 - t.gamma_y @ u0 - t.gamma_z @ w0 + t.gamma_yz.apply(u0, w0))),
-        ),
-        gamma_y=_mmap(pull, -(s_inv @ (t.gamma_y @ a_inv - t.gamma_yz.right_vec(w0) @ a_inv))),
-        gamma_z=_mmap(pull, -(s_inv @ (t.gamma_z @ b_inv - t.gamma_yz.left_vec(u0) @ b_inv))),
-        gamma_yz=_bmap(pull, -t.gamma_yz.left_mat(a_inv).right_mat(b_inv).post(s_inv)),
-        sigma=_mmap(pull, s_inv),
+        **{name: _map(pull, kind, blocks[name]) for name, kind in BLOCKS},
         samples=tuple(t.base_map.apply(s) for s in t.samples),
     )
 
@@ -276,8 +311,8 @@ def _zero_like(t: TransitionData, **kept):
         alpha0=Vec(Poly.zero(m) for _ in range(n1)),
         beta0=Vec(Poly.zero(m) for _ in range(n2)),
         gamma00=Vec(Poly.zero(m) for _ in range(n3)),
-        gamma_y=_mmap(lambda _: Poly.zero(m), t.gamma_y),
-        gamma_z=_mmap(lambda _: Poly.zero(m), t.gamma_z),
+        gamma_y=_map(lambda _: Poly.zero(m), Mat, t.gamma_y),
+        gamma_z=_map(lambda _: Poly.zero(m), Mat, t.gamma_z),
     )
     blocks.update(kept)
     return _keeping_samples(TransitionData(base_map=t.base_map, **blocks), t.samples)
@@ -422,35 +457,21 @@ def first_difference(t1: TransitionData, t2: TransitionData) -> Optional[str]:
         return f"base map: {t1.base_map!r} != {t2.base_map!r}"
     if t1.fiber_dims != t2.fiber_dims:
         return f"fiber dims: {t1.fiber_dims} != {t2.fiber_dims}"
-    for name in _BLOCK_ORDER:
+    for name, kind in BLOCKS:
         b1, b2 = getattr(t1, name), getattr(t2, name)
-        if isinstance(b1, Vec):
-            for i, (x1, x2) in enumerate(zip(b1, b2)):
-                if x1 != x2:
-                    return f"{name}[{i}]: {x1} != {x2}"
-        elif isinstance(b1, Mat):
-            for i, (r1, r2) in enumerate(zip(b1.rows, b2.rows)):
-                for j, (x1, x2) in enumerate(zip(r1, r2)):
-                    if x1 != x2:
-                        return f"{name}[{i}][{j}]: {x1} != {x2}"
-        else:
-            for u, (l1, l2) in enumerate(zip(b1.entries, b2.entries)):
-                for i, (r1, r2) in enumerate(zip(l1, l2)):
-                    for j, (x1, x2) in enumerate(zip(r1, r2)):
-                        if x1 != x2:
-                            return f"{name}[{u}][{i}][{j}]: {x1} != {x2}"
+        if b1 == b2:  # one tuple comparison; entries are walked only in a block that differs
+            continue
+        for k, (x1, x2) in enumerate(zip(_entries(b1, kind), _entries(b2, kind))):
+            if x1 != x2:
+                return f"{name}{_subscript(b1, kind, k)}: {x1} != {x2}"
     return None
-
-
-def data_equal(t1: TransitionData, t2: TransitionData) -> bool:
-    return first_difference(t1, t2) is None
 
 
 ChartPath = Tuple[str, str, str]
 
 
 def _term_count(t: TransitionData) -> int:
-    return sum(len(e.num) for name in _BLOCK_ORDER for e in _entries(getattr(t, name)))
+    return sum(len(e.num) for name, kind in BLOCKS for e in _entries(getattr(t, name), kind))
 
 
 @dataclass(frozen=True)

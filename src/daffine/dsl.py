@@ -8,7 +8,10 @@ Block kinds: ``space`` (hull_dim, alpha, v), ``double`` (dims, functionals,
 optional marked section and constraint rows), ``atlas`` (wiring plus per-edge
 coefficient polynomials in x1..xm, keyed ``src.dst.field``), ``special_bundle``
 (m, n, optional omega covector) and ``graded`` (order, component dims keyed by
-bitstrings, functionals keyed by unit degree, optional sigma).
+bitstrings, functionals keyed by unit degree, optional sigma).  An edge's
+fields are its base map, the nine transition blocks and optional sample
+points; ``atlas.BLOCKS`` is the one place that holds the blocks' names, kinds
+and order, and the reader and writer here loop over it.
 
 Values are rationals, identifiers, possibly-nested bracket lists, or
 polynomial expressions over x1 .. x100 (``MAX_VARIABLE``) with rational
@@ -28,7 +31,7 @@ from math import comb
 from typing import Dict, List, Optional, Tuple, Union
 
 from .affine import BispecialRep
-from .atlas import Atlas, TransitionData
+from .atlas import BLOCKS, Atlas, TransitionData, map_entries
 from .double import DecomposedDouble, DoubleAffine
 from .errors import (
     DaffineError,
@@ -166,20 +169,7 @@ _FIELD_ORDER = {
     "special_bundle": ("m", "n", "omega"),
 }
 _ATLAS_HEAD = ("base_dim", "fiber_dims", "charts")
-_EDGE_FIELDS = (
-    "base_p",
-    "base_q",
-    "alpha0",
-    "alpha",
-    "beta0",
-    "beta",
-    "gamma00",
-    "gamma_y",
-    "gamma_z",
-    "gamma_yz",
-    "sigma",
-    "samples",
-)
+_EDGE_FIELDS = ("base_p", "base_q") + tuple(name for name, _ in BLOCKS) + ("samples",)
 
 # Fields that may not carry an empty vector: catching `l1=[]` style mistakes
 # at parse time with the field named in the diagnostic.
@@ -486,19 +476,9 @@ def _value_of_entry(x) -> Value:
     return value_of_poly(x) if isinstance(x, Poly) else Fraction(x)
 
 
-def value_of_vec(v: Vec) -> Tuple[Value, ...]:
-    return tuple(_value_of_entry(x) for x in v)
-
-
-def value_of_mat(m: Mat) -> Tuple[Value, ...]:
-    return tuple(tuple(_value_of_entry(x) for x in row) for row in m.rows)
-
-
-def value_of_bilinear(b: Bilinear) -> Tuple[Value, ...]:
-    return tuple(
-        tuple(tuple(_value_of_entry(x) for x in row) for row in layer)
-        for layer in b.entries
-    )
+def value_of_block(block: Union[Vec, Mat, Bilinear]) -> Tuple[Value, ...]:
+    """A vector, matrix or bilinear block as nested lists of document values."""
+    return map_entries(_value_of_entry, type(block), block)
 
 
 def _canonical(kind: str, pairs) -> Tuple[Tuple[str, Value], ...]:
@@ -507,9 +487,9 @@ def _canonical(kind: str, pairs) -> Tuple[Tuple[str, Value], ...]:
 
 
 def block_from_space(name: str, rep: BispecialRep) -> Block:
-    pairs = [("hull_dim", Fraction(rep.hull_dim)), ("alpha", value_of_vec(rep.alpha))]
+    pairs = [("hull_dim", Fraction(rep.hull_dim)), ("alpha", value_of_block(rep.alpha))]
     if rep.v is not None:
-        pairs.append(("v", value_of_vec(rep.v)))
+        pairs.append(("v", value_of_block(rep.v)))
     return Block("space", name, _canonical("space", pairs))
 
 
@@ -517,10 +497,10 @@ def block_from_double(name: str, space, bundle=None, constraints=None) -> Block:
     """A double block from a DecomposedDouble plus optional structure."""
     pairs = [(k, Fraction(d)) for k, d in zip(("n1", "n2", "n3"), space.dims)]
     if bundle is not None:
-        pairs.append(("l1", value_of_vec(bundle.l1)))
-        pairs.append(("l2", value_of_vec(bundle.l2)))
+        pairs.append(("l1", value_of_block(bundle.l1)))
+        pairs.append(("l2", value_of_block(bundle.l2)))
         if bundle.sigma is not None:
-            pairs.append(("sigma", value_of_vec(bundle.sigma)))
+            pairs.append(("sigma", value_of_block(bundle.sigma)))
     if constraints is not None:
         pairs.append(
             ("constraints", tuple(tuple(Fraction(x) for x in row) for row in constraints))
@@ -531,7 +511,7 @@ def block_from_double(name: str, space, bundle=None, constraints=None) -> Block:
 def block_from_special_bundle(name: str, bundle: TrivialBispecial, omega=None) -> Block:
     pairs = [("m", Fraction(bundle.base_dim)), ("n", Fraction(bundle.n))]
     if omega is not None:
-        pairs.append(("omega", value_of_vec(omega.coeffs)))
+        pairs.append(("omega", value_of_block(omega.coeffs)))
     return Block("special_bundle", name, _canonical("special_bundle", pairs))
 
 
@@ -542,9 +522,9 @@ def block_from_graded(name: str, a: NAffine) -> Block:
         pairs.append(("dim_" + "".join(map(str, deg)), Fraction(a.space.dim_of(deg))))
     for i, l in enumerate(a.functionals):
         bits = "".join("1" if k == i else "0" for k in range(n))
-        pairs.append((f"l_{bits}", value_of_vec(l)))
+        pairs.append((f"l_{bits}", value_of_block(l)))
     if a.sigma is not None:
-        pairs.append(("sigma", value_of_vec(a.sigma)))
+        pairs.append(("sigma", value_of_block(a.sigma)))
     return Block("graded", name, _canonical("graded", pairs))
 
 
@@ -556,22 +536,10 @@ def block_from_atlas(name: str, atlas: Atlas) -> Block:
     ]
     for src, dst, t in atlas.edges:
         stem = f"{src}.{dst}."
-        pairs.extend(
-            [
-                (stem + "base_p", value_of_mat(t.base_map.P)),
-                (stem + "base_q", value_of_vec(t.base_map.q)),
-                (stem + "alpha0", value_of_vec(t.alpha0)),
-                (stem + "alpha", value_of_mat(t.alpha)),
-                (stem + "beta0", value_of_vec(t.beta0)),
-                (stem + "beta", value_of_mat(t.beta)),
-                (stem + "gamma00", value_of_vec(t.gamma00)),
-                (stem + "gamma_y", value_of_mat(t.gamma_y)),
-                (stem + "gamma_z", value_of_mat(t.gamma_z)),
-                (stem + "gamma_yz", value_of_bilinear(t.gamma_yz)),
-                (stem + "sigma", value_of_mat(t.sigma)),
-                (stem + "samples", tuple(value_of_vec(s) for s in t.samples)),
-            ]
-        )
+        blocks = [("base_p", t.base_map.P), ("base_q", t.base_map.q)]
+        blocks += [(name, getattr(t, name)) for name, _ in BLOCKS]
+        pairs += [(stem + key, value_of_block(block)) for key, block in blocks]
+        pairs.append((stem + "samples", tuple(value_of_block(s) for s in t.samples)))
     return Block("atlas", name, _canonical("atlas", pairs))
 
 
@@ -670,27 +638,21 @@ def _as_poly(v: Value, m: int, ctx: str) -> Poly:
     raise DaffineError(f"{ctx}: expected a polynomial over x1..x{m}")
 
 
-def _as_poly_vec(v: Value, m: int, ctx: str) -> Vec:
-    if not isinstance(v, tuple):
-        raise DaffineError(f"{ctx}: expected a vector of polynomials")
-    return Vec(_as_poly(x, m, ctx) for x in v)
+_SHAPES = {
+    Vec: "a vector of polynomials",
+    Mat: "a matrix of polynomials",
+    Bilinear: "layers of matrices",
+}
 
 
-def _as_poly_mat(v: Value, m: int, ctx: str) -> Mat:
-    if not isinstance(v, tuple) or not all(isinstance(r, tuple) for r in v):
-        raise DaffineError(f"{ctx}: expected a matrix of polynomials")
-    return Mat(tuple(tuple(_as_poly(x, m, ctx) for x in r) for r in v))
-
-
-def _as_poly_bilinear(v: Value, m: int, ctx: str) -> Bilinear:
-    if not isinstance(v, tuple):
-        raise DaffineError(f"{ctx}: expected layers of matrices")
-    layers = []
-    for layer in v:
-        if not isinstance(layer, tuple) or not all(isinstance(r, tuple) for r in layer):
-            raise DaffineError(f"{ctx}: expected layers of matrices")
-        layers.append(tuple(tuple(_as_poly(x, m, ctx) for x in r) for r in layer))
-    return Bilinear(tuple(layers))
+def _as_poly_block(kind: type, v: Value, m: int, ctx: str):
+    """A transition block of this kind; its nesting is checked before any entry."""
+    try:
+        # the shape check is the only DimMismatch here: _as_poly raises DaffineError
+        entries = map_entries(lambda x: _as_poly(x, m, ctx), kind, v)
+    except DimMismatch:
+        raise DaffineError(f"{ctx}: expected {_SHAPES[kind]}") from None
+    return kind(entries)
 
 
 def _elaborate_space(block: Block) -> BispecialRep:
@@ -811,15 +773,7 @@ def _elaborate_atlas(block: Block) -> Atlas:
             raise DaffineError(f"{ctx}: base_p must be {m}x{m} and base_q must have {m} entries")
         t = TransitionData(
             base_map=BaseMap(base_p, base_q),
-            alpha0=_as_poly_vec(data["alpha0"], m, ctx),
-            alpha=_as_poly_mat(data["alpha"], m, ctx),
-            beta0=_as_poly_vec(data["beta0"], m, ctx),
-            beta=_as_poly_mat(data["beta"], m, ctx),
-            gamma00=_as_poly_vec(data["gamma00"], m, ctx),
-            gamma_y=_as_poly_mat(data["gamma_y"], m, ctx),
-            gamma_z=_as_poly_mat(data["gamma_z"], m, ctx),
-            gamma_yz=_as_poly_bilinear(data["gamma_yz"], m, ctx),
-            sigma=_as_poly_mat(data["sigma"], m, ctx),
+            **{name: _as_poly_block(kind, data[name], m, ctx) for name, kind in BLOCKS},
             samples=samples,
         )
         edges.append((src, dst, t))

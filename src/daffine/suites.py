@@ -226,6 +226,7 @@ def suite_model_hull(objs: Dict[str, object], seed: int, trials: int) -> Report:
             return [CheckRecord("no affine structure", SKIP, "plain decomposed space")]
         a = block.bundle
         d = a.space
+        md = model_vv(a)
 
         def trial(rng):
             p = DoublePoint(d, rand_vec(rng, d.n1), rand_vec(rng, d.n2), rand_vec(rng, d.n3))
@@ -233,11 +234,10 @@ def suite_model_hull(objs: Dict[str, object], seed: int, trials: int) -> Report:
             if contains(a, p) != direct:
                 yield hull_law, f"membership disagreed at y={_fmt_vec(p.y)}, z={_fmt_vec(p.z)}"
             homogeneous = a.l1.dot(p.y) == 0 and a.l2.dot(p.z) == 0
-            if model_vv(a).contains(p) != homogeneous:
+            if md.contains(p) != homogeneous:
                 yield model_law, f"model membership disagreed at y={_fmt_vec(p.y)}"
 
         records = _sampled(_MODEL_HULL_LAWS, seed, trials, trial)
-        md = model_vv(a)
         basis_ok = (
             len(md.side1_basis) == d.n1 - 1
             and len(md.side2_basis) == d.n2 - 1

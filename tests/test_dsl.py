@@ -472,7 +472,11 @@ def test_print_then_parse_is_identity():
 def test_fixture_round_trips(path):
     doc = parse((FIXTURES / path).read_text())
     assert parse(print_document(doc)) == doc
-    elaborate(doc)
+    if path == "atlas_bad_block.daff":  # it parses; its flat bilinear block does not elaborate
+        with pytest.raises(DaffineError, match="expected layers of matrices"):
+            elaborate(doc)
+    else:
+        elaborate(doc)
 
 
 def test_parse_error_fixture_names_the_field():
@@ -565,6 +569,36 @@ def test_polynomial_variable_beyond_base_dim_is_rejected():
             " u.u.alpha=[[1]]; u.u.beta0=[0]; u.u.beta=[[1]]; u.u.gamma00=[0];"
             " u.u.gamma_y=[[0]]; u.u.gamma_z=[[0]]; u.u.gamma_yz=[[[0]]]; u.u.sigma=[[1]]; }"
         ))
+
+
+_EDGE = {
+    "base_p": "[[1]]", "base_q": "[0]", "alpha0": "[0]", "alpha": "[[1]]", "beta0": "[0]",
+    "beta": "[[1]]", "gamma00": "[0]", "gamma_y": "[[0]]", "gamma_z": "[[0]]",
+    "gamma_yz": "[[[0]]]", "sigma": "[[1]]",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("alpha0", "5", "expected a vector of polynomials"),
+        ("alpha", "[1]", "expected a matrix of polynomials"),
+        ("beta", "[[1], 2]", "expected a matrix of polynomials"),
+        ("gamma_yz", "[[1]]", "expected layers of matrices"),
+        ("gamma_yz", "[1, 2]", "expected layers of matrices"),
+        # the shape of every layer is checked before any entry: layer 0's
+        # entry is not a polynomial, and layer 1 is not a matrix
+        ("gamma_yz", "[[[foo]], 3]", "expected layers of matrices"),
+        ("alpha0", "[[1]]", "expected a polynomial over x1..x1"),
+    ],
+)
+def test_an_edge_block_of_the_wrong_shape_names_its_kind(field, value, expected):
+    fields = {**_EDGE, field: value}
+    text = "atlas t { base_dim = 1; fiber_dims = [1, 1, 1]; charts = [a, b]; "
+    text += " ".join(f"a.b.{key} = {v};" for key, v in fields.items()) + " }"
+    with pytest.raises(DaffineError) as err:
+        elaborate(parse(text))
+    assert str(err.value) == f"atlas block 't' edge a->b: {expected}"
 
 
 def test_non_integer_dimension_is_rejected():
