@@ -15,7 +15,6 @@ Taking the dual twice returns the original data on the nose in coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     SpaceMismatch,
     ZeroFunctional,
 )
-from .exact import Mat, Scalar, Vec
+from .exact import Mat, Scalar, Vec, as_scalar
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def aff(a: AffinePoint, b: AffinePoint, lam: Scalar) -> AffinePoint:
     """
     if a.space != b.space:
         raise SpaceMismatch("affine combination across different spaces")
-    lam = Fraction(lam)
+    lam = as_scalar(lam)
     return AffinePoint(a.space, a.coords.scale(lam) + b.coords.scale(1 - lam))
 
 

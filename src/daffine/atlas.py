@@ -66,7 +66,7 @@ from .errors import (
     NotInvertible,
     SingularMatrix,
 )
-from .exact import BaseMap, Bilinear, Mat, Poly, Vec
+from .exact import BaseMap, Bilinear, Mat, Poly, Vec, as_scalar
 from .report import PASS, CheckRecord, Report, verdict
 
 
@@ -394,7 +394,7 @@ def restrict_hull(th: TransitionData, s_val, t_val) -> TransitionData:
     if n1h < 1 or n2h < 1:
         raise DimMismatch("restriction needs the homogenizing coordinates")
     n1, n2 = n1h - 1, n2h - 1
-    s_val, t_val = Fraction(s_val), Fraction(t_val)
+    s_val, t_val = as_scalar(s_val), as_scalar(t_val)
 
     # The leading coordinates must be genuinely invariant for the slice to be
     # well defined: row 0 of each side block has to fix them.

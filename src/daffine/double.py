@@ -33,12 +33,20 @@ from .errors import (
     SpaceMismatch,
     ZeroFunctional,
 )
-from .exact import Bilinear, Mat, Scalar, Vec
+from .exact import Bilinear, Mat, Scalar, Vec, as_scalar
 
 
 # ---------------------------------------------------------------------------
 # spaces and points
 # ---------------------------------------------------------------------------
+
+
+def require_ints(what: str, values) -> None:
+    """Refuse the first value that is not an ``int``, naming it: a dimension
+    or a degree bit of 1.5 is neither truncated nor left to fail later."""
+    for v in values:
+        if type(v) is not int:
+            raise DimMismatch(f"{what} {v!r} is not an int")
 
 
 def _as_vec(v, n: int) -> Vec:
@@ -58,6 +66,7 @@ class DecomposedDouble:
     n3: int
 
     def __post_init__(self):
+        require_ints("dimension", self.dims)
         if min(self.n1, self.n2, self.n3) < 0:
             raise DimMismatch("negative dimension")
 
@@ -94,7 +103,7 @@ def aff1(p: DoublePoint, q: DoublePoint, lam: Scalar) -> DoublePoint:
         raise SpaceMismatch("points of different double spaces")
     if p.y != q.y:
         raise FiberMismatch("aff1 needs a common y")
-    lam = Fraction(lam)
+    lam = as_scalar(lam)
     mu = 1 - lam
     return DoublePoint(p.owner, p.y, p.z.scale(lam) + q.z.scale(mu), p.c.scale(lam) + q.c.scale(mu))
 
@@ -105,7 +114,7 @@ def aff2(p: DoublePoint, q: DoublePoint, lam: Scalar) -> DoublePoint:
         raise SpaceMismatch("points of different double spaces")
     if p.z != q.z:
         raise FiberMismatch("aff2 needs a common z")
-    lam = Fraction(lam)
+    lam = as_scalar(lam)
     mu = 1 - lam
     return DoublePoint(p.owner, p.y.scale(lam) + q.y.scale(mu), p.z, p.c.scale(lam) + q.c.scale(mu))
 
@@ -624,7 +633,7 @@ def _parse_rows(d: DecomposedDouble, rows) -> list:
     width = 1 + n1 + n2 + n1 * n2 + n3 + 1
     out = []
     for k, raw in enumerate(rows):
-        entries = [Fraction(x) for x in raw]
+        entries = [as_scalar(x) for x in raw]
         if len(entries) != width:
             raise MalformedConstraint(
                 f"row {k}: expected {width} entries "

@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     UnresolvedReference,
 )
-from .exact import BaseMap, Bilinear, Mat, Poly, Vec
+from .exact import BaseMap, Bilinear, Mat, Poly, Vec, as_scalar
 from .naffine import GradedSpace, NAffine
 from .phase import OneForm, TrivialBispecial
 
@@ -473,7 +473,7 @@ def value_of_poly(p: Poly) -> Value:
 
 
 def _value_of_entry(x) -> Value:
-    return value_of_poly(x) if isinstance(x, Poly) else Fraction(x)
+    return value_of_poly(x) if isinstance(x, Poly) else as_scalar(x)
 
 
 def value_of_block(block: Union[Vec, Mat, Bilinear]) -> Tuple[Value, ...]:
@@ -503,7 +503,7 @@ def block_from_double(name: str, space, bundle=None, constraints=None) -> Block:
             pairs.append(("sigma", value_of_block(bundle.sigma)))
     if constraints is not None:
         pairs.append(
-            ("constraints", tuple(tuple(Fraction(x) for x in row) for row in constraints))
+            ("constraints", tuple(tuple(map(as_scalar, row)) for row in constraints))
         )
     return Block("double", name, _canonical("double", pairs))
 
@@ -648,11 +648,11 @@ _SHAPES = {
 def _as_poly_block(kind: type, v: Value, m: int, ctx: str):
     """A transition block of this kind; its nesting is checked before any entry."""
     try:
-        # the shape check is the only DimMismatch here: _as_poly raises DaffineError
-        entries = map_entries(lambda x: _as_poly(x, m, ctx), kind, v)
+        # the shape checks, nesting and then ragged rows, are the only
+        # DimMismatch here: _as_poly raises DaffineError
+        return kind(map_entries(lambda x: _as_poly(x, m, ctx), kind, v))
     except DimMismatch:
         raise DaffineError(f"{ctx}: expected {_SHAPES[kind]}") from None
-    return kind(entries)
 
 
 def _elaborate_space(block: Block) -> BispecialRep:
@@ -763,17 +763,21 @@ def _elaborate_atlas(block: Block) -> Atlas:
         for field in _EDGE_FIELDS:
             if field not in data and field != "samples":
                 raise DaffineError(f"{ctx} is missing field '{field}'")
-        base_p = Mat(_as_rows(data["base_p"], ctx))
-        base_q = _as_vec(data["base_q"], ctx)
+        field_ctx = lambda key: f"{ctx}, field '{key}'"
+        try:
+            base_p = Mat(_as_rows(data["base_p"], field_ctx("base_p")))
+        except DimMismatch:
+            raise DaffineError(f"{field_ctx('base_p')}: expected a matrix of rationals") from None
+        base_q = _as_vec(data["base_q"], field_ctx("base_q"))
         samples = tuple(
-            Vec(row) for row in _as_rows(data.get("samples", ()), ctx)
+            Vec(row) for row in _as_rows(data.get("samples", ()), field_ctx("samples"))
         )
         # Before any coefficient is lifted into m variables.
         if base_p.nrows != m or base_p.ncols != m or base_q.dim != m:
             raise DaffineError(f"{ctx}: base_p must be {m}x{m} and base_q must have {m} entries")
         t = TransitionData(
             base_map=BaseMap(base_p, base_q),
-            **{name: _as_poly_block(kind, data[name], m, ctx) for name, kind in BLOCKS},
+            **{name: _as_poly_block(kind, data[name], m, field_ctx(name)) for name, kind in BLOCKS},
             samples=samples,
         )
         edges.append((src, dst, t))

@@ -1,30 +1,16 @@
 """Immutable exact vectors and matrices.
 
-Entries are usually :class:`fractions.Fraction`, but any commutative-ring
-element with ``+``, ``-`` and ``*`` works (the atlas layer stores polynomial
-entries).  Operations that need division -- ``inverse``, ``rref``, ``kernel``,
-``solve``, ``rank`` -- require Fraction entries.  A number that is not
-rational, such as a float, a complex or a ``Decimal``, is rejected with
-:class:`TypeError` when a ``Vec``, ``Mat`` or ``Bilinear`` is built, so no
-entry is ever rounded.
-
-That exactness check runs where a value enters: at the public constructors
-and on a scalar from outside (the factor of ``scale``, the new entries of
-``replaced``).  It depends only on an entry's type: a type is rejected when
-it is a ``numbers.Number`` but not a ``numbers.Rational``.  The types that
-have passed are remembered, starting from ``int`` and ``Fraction``, so an
-entry of a known type, such as a polynomial after the first one, costs a set
-lookup instead of two abstract-base-class checks.
-
-Results the kernel computes from checked entries -- of ``+``, ``-``,
-negation, ``scale``, ``@``, ``vec_mul`` and ``inverse`` -- and the
-rearranged entries of ``transpose``, ``concat``, ``row`` and ``col`` skip
-the check (the private ``_trusted`` constructors).  A computed result skips
-it only while every type that has passed is *closed*: ``int``, ``Fraction``
-or ``Poly``, whose ring operations with each other return one of them again.
-Once an entry of any other type has passed, computed results go back
-through the public constructors, because that type's ``+`` may return a
-float.
+An entry is an ``int``, a :class:`fractions.Fraction` or a polynomial
+(:class:`~daffine.exact.poly.Poly`, which the atlas layer stores).  The three
+types are closed under each other's ring operations, so exactness is checked
+only where a value enters -- the public constructors of ``Vec``, ``Mat`` and
+``Bilinear``, the factor of ``scale`` and the new entries of ``replaced`` --
+and an entry of any other type, such as a float, a ``bool`` or a string,
+raises :class:`TypeError` there, so no entry is ever rounded.  The results
+the kernel computes, and the entries ``transpose``, ``concat``, ``row`` and
+``col`` rearrange, are built by the private ``_trusted`` constructors.
+Operations that need division -- ``inverse``, ``rref``, ``kernel``,
+``solve``, ``rank`` -- require rational entries.
 
 Products and determinants take one of two branches; inverses and row
 reduction need rational entries and always take the first:
@@ -39,16 +25,16 @@ reduction need rational entries and always take the first:
   end, and ``rank``, ``kernel`` and ``solve`` read its result.  All
   arithmetic is on Python integers, so the result is the exact rational
   value, normalised once when the ``Fraction`` is made.
-* Any other entries, such as polynomials, take the generic loop of ring
-  operations.  A dot product starts from its first product, so it adds no
-  ``Fraction(0)`` to a polynomial sum.
+* Polynomial entries take the generic loop of ring operations.  A dot
+  product starts from its first product, so it adds no ``Fraction(0)`` to a
+  polynomial sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
-from numbers import Number, Rational
 from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -56,14 +42,8 @@ from ..errors import DimMismatch, SingularMatrix
 from .scalar import ONE, ZERO, Scalar, as_scalar
 
 _RATIONAL = frozenset((Fraction, int))
-# entry types that have passed the exactness check; it depends only on the type
+# the entry types: int, Fraction and Poly, which poly.py adds when it is imported
 _EXACT_TYPES = set(_RATIONAL)
-# exact types whose ring operations with each other stay among them; poly.py
-# adds Poly
-_CLOSED_TYPES = set(_RATIONAL)
-# types that have passed the check but are not closed; while there is none,
-# a result computed from checked entries is not checked again
-_OPEN_TYPES = set()
 
 
 def _is_rational(entries) -> bool:
@@ -72,27 +52,28 @@ def _is_rational(entries) -> bool:
 
 
 def _exact(entries: Iterable) -> tuple:
-    """The entries as a tuple; a number that is not rational raises TypeError."""
+    """The entries as a tuple; the first entry of another type than int,
+    Fraction or Poly raises TypeError."""
     t = tuple(entries)
     if not _EXACT_TYPES.issuperset(map(type, t)):
-        for e in t:
-            if type(e) not in _EXACT_TYPES:
-                if isinstance(e, Number) and not isinstance(e, Rational):
-                    raise TypeError(f"cannot interpret {e!r} as an exact scalar")
-                _EXACT_TYPES.add(type(e))
-                if type(e) not in _CLOSED_TYPES:
-                    _OPEN_TYPES.add(type(e))
+        e = next(e for e in t if type(e) not in _EXACT_TYPES)
+        raise TypeError(f"cannot interpret {e!r} as an exact scalar")
     return t
 
 
-def _vec(entries: tuple) -> "Vec":
-    """A vector the kernel computed from checked entries."""
-    return Vec(entries) if _OPEN_TYPES else Vec._trusted(entries)
-
-
-def _mat(rows: tuple) -> "Mat":
-    """A matrix the kernel computed from checked entries, as row tuples."""
-    return Mat(rows) if _OPEN_TYPES else Mat._trusted(rows)
+def _refuse_factor(c, entries: Iterable):
+    """Raise the TypeError of ``_exact`` for a factor ``c`` of another type
+    than int, Fraction or Poly.  It names the first product ``c * e`` that is
+    not of those types, as building from the products would, else ``c``."""
+    for e in entries:
+        try:
+            p = c * e
+        except TypeError:
+            break
+        if type(p) not in _EXACT_TYPES:
+            c = p
+            break
+    raise TypeError(f"cannot interpret {c!r} as an exact scalar")
 
 
 def _dot(xs, ys):
@@ -193,10 +174,12 @@ class Vec:
 
     @staticmethod
     def of(*entries) -> "Vec":
-        """Numbers and ``"p/q"`` strings become exact scalars, so a float
-        raises :class:`TypeError`; ring elements such as polynomials pass as
-        they are."""
-        return Vec(as_scalar(e) if isinstance(e, (Number, str)) else e for e in entries)
+        """Ints and ``"p/q"`` strings become Fractions through ``as_scalar``,
+        Fractions and polynomials pass as they are, and anything else raises
+        :class:`TypeError`."""
+        return Vec._trusted(
+            tuple(e if type(e) in _EXACT_TYPES and type(e) not in _RATIONAL else as_scalar(e) for e in entries)
+        )
 
     @staticmethod
     def zero(n: int) -> "Vec":
@@ -229,19 +212,19 @@ class Vec:
 
     def __add__(self, other: "Vec") -> "Vec":
         self._check(other)
-        return _vec(tuple(map(add, self.entries, other.entries)))
+        return Vec._trusted(tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._check(other)
-        return _vec(tuple(map(sub, self.entries, other.entries)))
+        return Vec._trusted(tuple(map(sub, self.entries, other.entries)))
 
     def __neg__(self) -> "Vec":
-        return _vec(tuple(map(neg, self.entries)))
+        return Vec._trusted(tuple(map(neg, self.entries)))
 
     def scale(self, c) -> "Vec":
-        if type(c) not in _CLOSED_TYPES:
-            return Vec(c * a for a in self.entries)
-        return _vec(tuple(c * a for a in self.entries))
+        if type(c) not in _EXACT_TYPES:
+            _refuse_factor(c, self.entries)
+        return Vec._trusted(tuple(c * a for a in self.entries))
 
     __rmul__ = scale
 
@@ -342,32 +325,32 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise DimMismatch(f"matrix shapes {self.shape} vs {other.shape}")
-        return _mat(tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
+        return Mat._trusted(tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise DimMismatch(f"matrix shapes {self.shape} vs {other.shape}")
-        return _mat(tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
+        return Mat._trusted(tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Mat":
-        return _mat(tuple(tuple(map(neg, r)) for r in self.rows))
+        return Mat._trusted(tuple(tuple(map(neg, r)) for r in self.rows))
 
     def scale(self, c) -> "Mat":
-        if type(c) not in _CLOSED_TYPES:
-            return Mat(tuple(c * a for a in r) for r in self.rows)
-        return _mat(tuple(tuple(c * a for a in r) for r in self.rows))
+        if type(c) not in _EXACT_TYPES:
+            _refuse_factor(c, chain.from_iterable(self.rows))
+        return Mat._trusted(tuple(tuple(c * a for a in r) for r in self.rows))
 
     def __matmul__(self, other):
         if isinstance(other, Vec):
             if other.dim != self.ncols:
                 raise DimMismatch(f"matvec {self.shape} @ {other.dim}")
             v = other.entries
-            return _vec(tuple(_dot(r, v) for r in self.rows))
+            return Vec._trusted(tuple(_dot(r, v) for r in self.rows))
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise DimMismatch(f"matmul {self.shape} @ {other.shape}")
             cols = tuple(zip(*other.rows))
-            return _mat(tuple(tuple(_dot(r, c) for c in cols) for r in self.rows))
+            return Mat._trusted(tuple(tuple(_dot(r, c) for c in cols) for r in self.rows))
         return NotImplemented
 
     def transpose(self) -> "Mat":
@@ -377,7 +360,7 @@ class Mat:
         """Row-vector times matrix: v^T M, returned as a Vec."""
         if v.dim != self.nrows:
             raise DimMismatch(f"vecmat {v.dim} @ {self.shape}")
-        return _vec(tuple(_dot(v.entries, c) for c in zip(*self.rows)))
+        return Vec._trusted(tuple(_dot(v.entries, c) for c in zip(*self.rows)))
 
     # ---- ring-generic determinant (cofactor expansion, small sizes) ----
 
@@ -403,16 +386,13 @@ class Mat:
             raise DimMismatch("adjugate of non-square matrix")
         n = self.nrows
         if n == 1:
-            one = self.rows[0][0] * 0 + 1
-            return Mat([[one]])
-        cof = [
-            [
-                _det_cofactor(_minor(self.rows, i, j)) * ((-1) ** ((i + j) % 2))
+            return Mat._trusted(((self.rows[0][0] * 0 + 1,),))
+        return Mat._trusted(
+            tuple(
+                tuple(_det_cofactor(_minor(self.rows, i, j)) * ((-1) ** ((i + j) % 2)) for i in range(n))
                 for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return Mat(cof).transpose()
+            )
+        )
 
     # ---- field-only operations (Fraction entries) ----
 
@@ -446,14 +426,14 @@ class Mat:
             v[f] = Fraction(1)
             for r, p in enumerate(pivots):
                 v[p] = -red[r, f]
-            basis.append(Vec(v))
+            basis.append(Vec._trusted(tuple(v)))
         return basis
 
     def solve(self, b: Vec):
         """One exact solution of ``self @ x == b``, or None if inconsistent."""
         if b.dim != self.nrows:
             raise DimMismatch("rhs dimension")
-        aug = Mat([tuple(r) + (b[i],) for i, r in enumerate(self.rows)]) if self.rows else Mat([])
+        aug = Mat._trusted(tuple(r + (b[i],) for i, r in enumerate(self.rows)))
         red, pivots = aug.rref()
         nc = self.ncols
         if nc in pivots:
@@ -461,7 +441,7 @@ class Mat:
         x = [Fraction(0)] * nc
         for r, p in enumerate(pivots):
             x[p] = red[r, nc]
-        return Vec(x)
+        return Vec._trusted(tuple(x))
 
     def inverse(self) -> "Mat":
         """Exact inverse; raises :class:`SingularMatrix` when none exists.

@@ -29,7 +29,7 @@ from operator import add
 from typing import Dict, Mapping, Sequence, Tuple
 
 from ..errors import DimMismatch, MissingSubstitute, SingularMatrix
-from .linalg import _CLOSED_TYPES, Mat, Vec
+from .linalg import _EXACT_TYPES, Mat, Vec
 from .scalar import Scalar, as_scalar, format_scalar
 
 Exponent = Tuple[int, ...]
@@ -368,9 +368,9 @@ class Poly:
         return f"Poly({self.nvars}, {self.terms!r})"
 
 
-# Poly's ring operations with int, Fraction and Poly return a Poly, so Vec and
-# Mat results computed over polynomials skip the second exactness check.
-_CLOSED_TYPES.add(Poly)
+# Poly's ring operations with int, Fraction and Poly return a Poly, so it is
+# the third entry type of Vec, Mat and Bilinear.
+_EXACT_TYPES.add(Poly)
 
 
 def _over_lcm(terms: Terms) -> Tuple[Ints, int]:

@@ -19,16 +19,18 @@ ONE = Fraction(1)
 
 
 def as_scalar(value: ScalarLike) -> Scalar:
-    """Coerce an int, Fraction, or ``"p/q"`` string to an exact scalar.
+    """Coerce an int, Fraction, or ``"p/q"`` string to an exact scalar; any
+    other value, such as a float, a ``bool`` or a foreign number, raises
+    :class:`TypeError`.
 
     >>> as_scalar("7/2")
     Fraction(7, 2)
     >>> as_scalar(3)
     Fraction(3, 1)
     """
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:
         return value
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())

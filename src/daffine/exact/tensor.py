@@ -1,10 +1,10 @@
 """Rank-3 arrays (bilinear blocks of double-bundle transition data).
 
 A ``Bilinear`` with shape ``(k, r, s)`` sends a pair (u, w) with dims (r, s)
-to a k-vector; entry ``[t][i][b]`` multiplies ``u[i] * w[b]``.  Entries may be
-Fractions or polynomials; a number that is not rational, such as a float, is
-rejected with :class:`TypeError` when the block is built, as in ``Vec`` and
-``Mat``.
+to a k-vector; entry ``[t][i][b]`` multiplies ``u[i] * w[b]``.  Entries are
+ints, Fractions or polynomials; an entry of any other type, such as a float,
+is rejected with :class:`TypeError` when the block is built, as in ``Vec``
+and ``Mat``.
 
 Each layer ``entries[t]`` is an r x s matrix, and every operation is a
 ``Mat`` operation on the layers: ``+``, negation and ``scale`` layer by
@@ -89,13 +89,13 @@ class Bilinear:
         """Contract the first slot: a (k x s) matrix acting on w; row t is u^T entries[t]."""
         if u.dim != self.shape[1]:
             raise DimMismatch("left contraction dimension")
-        return Mat(a.vec_mul(u).entries for a in self._layers())
+        return Mat._trusted(tuple(a.vec_mul(u).entries for a in self._layers()))
 
     def right_vec(self, w: Vec) -> Mat:
         """Contract the second slot: a (k x r) matrix acting on u; row t is entries[t] @ w."""
         if w.dim != self.shape[2]:
             raise DimMismatch("right contraction dimension")
-        return Mat((a @ w).entries for a in self._layers())
+        return Mat._trusted(tuple((a @ w).entries for a in self._layers()))
 
     def left_mat(self, A: Mat) -> "Bilinear":
         """Precompose the first slot with A: result[t] = A^T entries[t], whose

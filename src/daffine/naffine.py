@@ -29,6 +29,7 @@ from .double import (
     DoublePoint,
     contains as double_contains,
     pairing,
+    require_ints,
 )
 from .errors import (
     ConstraintViolated,
@@ -46,7 +47,8 @@ Degree = Tuple[int, ...]
 
 
 def _as_degree(n: int, value: Iterable[int]) -> Degree:
-    deg = tuple(int(b) for b in value)
+    deg = tuple(value)
+    require_ints("degree bit", deg)
     if len(deg) != n:
         raise DimMismatch(f"degree {deg} does not have {n} entries")
     if any(b not in (0, 1) for b in deg):
@@ -84,7 +86,7 @@ class GradedSpace:
         seen = set()
         for deg, d in raw:
             deg = _as_degree(self.n, deg)
-            d = int(d)
+            require_ints("dimension", (d,))
             if d < 0:
                 raise DaffineError("component dimensions cannot be negative")
             if deg in seen:

@@ -34,6 +34,7 @@ from .double import (
     DecomposedDouble,
     DoubleAffine,
     DoublePoint,
+    require_ints,
     special_dual_vertical,
     vd_eval,
     vertical_dual,
@@ -66,6 +67,7 @@ class TrivialBispecial:
     dual_form: bool = False
 
     def __post_init__(self):
+        require_ints("dimension", (self.base_dim, self.n))
         if self.base_dim < 0 or self.n < 0:
             raise DimMismatch("negative dimensions")
 

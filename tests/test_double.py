@@ -1,6 +1,7 @@
 """Double affine spaces: combinations, duals, the canonical pairing, triple duals."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -40,6 +41,8 @@ from daffine.errors import (
     ZeroFunctional,
 )
 from daffine.exact import Bilinear, Mat, Vec
+from daffine.naffine import GradedSpace, _as_degree
+from daffine.phase import TrivialBispecial
 
 D111 = DecomposedDouble(1, 1, 1)
 A111 = DoubleAffine(D111, Vec.of(1), Vec.of(1), Vec.of(1))
@@ -88,6 +91,22 @@ def rand_double_affine(rng, n1, n2, n3, special=True) -> DoubleAffine:
 # ---------------------------------------------------------------------------
 # membership, combinations, interchange
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: DecomposedDouble(F(3, 2), 1, 1), "dimension Fraction(3, 2)"),
+        (lambda: DecomposedDouble(1, 1, 1.5), "dimension 1.5"),
+        (lambda: DecomposedDouble(True, 1, 1), "dimension True"),
+        (lambda: TrivialBispecial(1.5, 1), "dimension 1.5"),
+        (lambda: GradedSpace(2, {(1, 0): 1.5, (0, 1): 1}), "dimension 1.5"),
+        (lambda: _as_degree(2, (0.5, 1)), "degree bit 0.5"),
+    ],
+)
+def test_a_dimension_or_degree_bit_that_is_not_an_int_is_refused(build, shown):
+    with pytest.raises(DimMismatch, match=rf"^{re.escape(shown)} is not an int$"):
+        build()
 
 
 def test_contains_normalized_and_violating_points():

@@ -590,6 +590,10 @@ _EDGE = {
         # entry is not a polynomial, and layer 1 is not a matrix
         ("gamma_yz", "[[[foo]], 3]", "expected layers of matrices"),
         ("alpha0", "[[1]]", "expected a polynomial over x1..x1"),
+        # ragged rows, caught with the shape and not as a bare DimMismatch
+        ("gamma_y", "[[x1], [1, 2]]", "expected a matrix of polynomials"),
+        ("gamma_yz", "[[[1], [1, 2]]]", "expected layers of matrices"),
+        ("base_p", "[[1], [1, 2]]", "expected a matrix of rationals"),
     ],
 )
 def test_an_edge_block_of_the_wrong_shape_names_its_kind(field, value, expected):
@@ -598,7 +602,7 @@ def test_an_edge_block_of_the_wrong_shape_names_its_kind(field, value, expected)
     text += " ".join(f"a.b.{key} = {v};" for key, v in fields.items()) + " }"
     with pytest.raises(DaffineError) as err:
         elaborate(parse(text))
-    assert str(err.value) == f"atlas block 't' edge a->b: {expected}"
+    assert str(err.value) == f"atlas block 't' edge a->b, field '{field}': {expected}"
 
 
 def test_non_integer_dimension_is_rejected():

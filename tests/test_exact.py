@@ -6,7 +6,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from daffine.double import DecomposedDouble, DoubleAffine
+from daffine import dsl
+from daffine.affine import BispecialRep, aff
+from daffine.atlas import identity_transition, induce_hull, restrict_hull
+from daffine.double import DecomposedDouble, DoubleAffine, aff1, aff2, classify_level_set
 from daffine.errors import DimMismatch, MissingSubstitute, SingularMatrix
 from daffine.exact import (
     BaseMap,
@@ -18,6 +21,8 @@ from daffine.exact import (
     format_scalar,
 )
 from daffine.exact import linalg
+from daffine.phase import TrivialBispecial, chi, h1, iota
+from daffine.randgen import rand_cotangent
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 
@@ -161,7 +166,7 @@ def test_constructors_keep_exact_entries():
 def test_inexact_entries_are_rejected_after_polynomials(build):
     p = Poly.variable(2, 0)
     Mat([[p, F(1)], [1, p]])
-    assert Poly in linalg._EXACT_TYPES  # remembered as exact
+    assert Poly in linalg._EXACT_TYPES  # added by poly.py at import
     with pytest.raises(TypeError, match=r"^cannot interpret .* as an exact scalar$"):
         build(p)
 
@@ -189,10 +194,10 @@ def test_floats_are_rejected_naming_the_first_inexact_entry(build, shown):
 
 
 def test_kernel_results_skip_the_second_check(monkeypatch):
-    monkeypatch.setattr(linalg, "_OPEN_TYPES", set())  # as when only int, Fraction and Poly have passed
     p = Poly.variable(2, 0)
     v, m = Vec([F(1, 2), 3]), Mat([[1, F(2, 3)], [F(-1), 4]])
     pv, pm = Vec([p, F(1, 2)]), Mat([[p, 1], [F(1, 3), p * p]])
+    singular = Mat([[1, 2], [2, 4]])
     checked = []
     real = linalg._exact
     monkeypatch.setattr(linalg, "_exact", lambda entries: checked.append(entries) or real(entries))
@@ -200,6 +205,7 @@ def test_kernel_results_skip_the_second_check(monkeypatch):
         v + v, v - v, -v, v.scale(F(3)), 2 * v, v.concat(v), m @ v, m @ m, m.vec_mul(v),
         m + m, m - m, -m, m.scale(2), m.transpose(), m.inverse(), m.row(1), m.col(0),
         pv + pv, -pv, pv.scale(p), pm @ pv, pm @ pm, pm.vec_mul(pv), pm.scale(F(1, 2)),
+        m.adjugate(), pm.adjugate(), m.solve(v), singular.kernel()[0],
         Vec.zero(3), Vec.unit(3, 1), Mat.zero(2, 3), Mat.identity(3),
     ]
     assert checked == []
@@ -209,8 +215,7 @@ def test_kernel_results_skip_the_second_check(monkeypatch):
 
 
 class _FloatyRing:
-    """An entry that is not a number, so it passes the check, but whose ring
-    operations return a float."""
+    """An entry that is not a number, whose ring operations return a float."""
 
     def __add__(self, other):
         return 0.5
@@ -221,17 +226,86 @@ class _FloatyRing:
         return 0.5
 
 
-def test_results_over_an_open_entry_type_are_checked_again(monkeypatch):
-    monkeypatch.setattr(linalg, "_EXACT_TYPES", set(linalg._EXACT_TYPES))
-    monkeypatch.setattr(linalg, "_OPEN_TYPES", set())
-    v, m = Vec([_FloatyRing()]), Mat([[_FloatyRing()]])
-    assert linalg._OPEN_TYPES == {_FloatyRing}
-    for op in (
-        lambda: v + v, lambda: v - v, lambda: -v, lambda: v.scale(2), lambda: 2 * v, lambda: m @ v,
-        lambda: m + m, lambda: -m, lambda: m.scale(F(1, 2)), lambda: m @ m, lambda: m.vec_mul(v),
-    ):
-        with pytest.raises(TypeError, match=r"^cannot interpret 0.5 as an exact scalar$"):
-            op()
+def test_a_non_number_entry_type_is_refused_at_the_constructor():
+    for build in (lambda: Vec([_FloatyRing()]), lambda: Mat([[1, _FloatyRing()]]), lambda: Bilinear([[[_FloatyRing()]]])):
+        with pytest.raises(TypeError, match=r"^cannot interpret <.*_FloatyRing object at .*> as an exact scalar$"):
+            build()
+    assert linalg._EXACT_TYPES == {int, F, Poly}  # the admitted set does not grow
+
+
+# ---------------------------------------------------------------- the exactness contract
+# Every entry point refuses a value of another type than int, Fraction or
+# Poly with one TypeError.  Entries are stored as given; scalars from outside
+# go through as_scalar, which also reads a "p/q" string; a factor of scale is
+# named through its first product that is not exact.
+
+try:
+    import sympy
+except ImportError:  # pragma: no cover - sympy is a test extra
+    sympy = None
+
+# (id, value); every entry point gets the first three
+_INEXACT = [
+    ("float", 0.5),
+    ("complex", complex(1)),
+    ("Decimal", Decimal("1")),
+    ("str", "1/2"),
+    ("bool", True),
+    ("sympy", sympy.Rational(1, 2) if sympy else None),
+    ("FloatyRing", _FloatyRing()),
+]
+_D = DecomposedDouble(1, 1, 1)
+_BUNDLE = TrivialBispecial(1, 1)
+_COTANGENT = rand_cotangent(random.Random(0), _BUNDLE)
+_LINE = BispecialRep(2, Vec.of(0, 1))
+_P, _Q = _D.point([1], [2], [3]), _D.point([1], [2], [5])
+
+# (name, build from one value x, what it takes besides an int or a Fraction):
+# a Poly entry, or a "p/q" string, which as_scalar reads exactly
+_ENTRY_POINTS = [
+    ("Vec", lambda x: Vec([1, x]), ("Poly",)),
+    ("Mat", lambda x: Mat([[1, 2], [F(1, 3), x]]), ("Poly",)),
+    ("Bilinear", lambda x: Bilinear([[[1, x]]]), ("Poly",)),
+    ("replaced", lambda x: Vec([1, 2]).replaced({1: x}), ("Poly",)),
+    ("scale", lambda x: Vec([F(1, 2), 1]).scale(x), ("Poly",)),
+    ("Mat.scale", lambda x: Mat([[1, F(1, 2)]]).scale(x), ("Poly",)),
+    ("__rmul__", lambda x: Vec([F(1, 2), 1]).__rmul__(x), ("Poly",)),
+    ("Vec.of", lambda x: Vec.of(1, x), ("Poly", "str")),
+    ("Poly", lambda x: Poly(1, {(1,): x}), ("str",)),
+    ("Poly.const", lambda x: Poly.const(1, x), ("str",)),
+    ("Poly.eval", lambda x: Poly.variable(1, 0).eval([x]), ("str",)),
+    ("aff", lambda x: aff(_LINE.point([3, 1]), _LINE.point([0, 1]), x), ("str",)),
+    ("aff1", lambda x: aff1(_P, _Q, x), ("str",)),
+    ("aff2", lambda x: aff2(_P, _D.point([4], [2], [5]), x), ("str",)),
+    ("restrict_hull", lambda x: restrict_hull(induce_hull(identity_transition(1, 1, 1, 1)), x, 1), ("str",)),
+    ("classify_level_set", lambda x: classify_level_set(_D, [[x, 0, 0, 0, 1, 0]]), ("str",)),
+    ("block_from_double", lambda x: dsl.block_from_double("A", _D, constraints=[[x, 0, 0, 0, 1, 0]]), ("str",)),
+    ("chi", lambda x: chi(x, 0, _COTANGENT), ("str",)),
+    ("h1", lambda x: h1(x, _COTANGENT), ("str",)),
+    # model data that reached a vector unchecked
+    ("iota", lambda x: iota(_BUNDLE, Vec.of(1), Vec._trusted((x,)), Vec.of(1), Vec.of(2)), ("str",)),
+]
+
+
+@pytest.mark.parametrize(
+    "build, x",
+    [
+        pytest.param(build, x, id=f"{name}-{kind}", marks=pytest.mark.skipif(x is None, reason="needs sympy"))
+        for name, build, takes in _ENTRY_POINTS
+        for kind, x in _INEXACT
+        if kind not in takes
+    ],
+)
+def test_every_entry_point_refuses_a_value_that_is_not_exact(build, x):
+    with pytest.raises(TypeError, match=r"^cannot interpret .* as an exact scalar$"):
+        build(x)
+
+
+@pytest.mark.parametrize("build, takes", [pytest.param(b, t, id=n) for n, b, t in _ENTRY_POINTS])
+def test_every_entry_point_takes_exact_values(build, takes):
+    extra = {"Poly": Poly.variable(1, 0), "str": "1/2"}
+    for x in [2, F(1, 2)] + [extra[kind] for kind in takes]:
+        build(x)
 
 
 @pytest.mark.parametrize("n", range(5))
