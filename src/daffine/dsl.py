@@ -775,11 +775,11 @@ def _elaborate_atlas(block: Block) -> Atlas:
         # Before any coefficient is lifted into m variables.
         if base_p.nrows != m or base_p.ncols != m or base_q.dim != m:
             raise DaffineError(f"{ctx}: base_p must be {m}x{m} and base_q must have {m} entries")
-        t = TransitionData(
-            base_map=BaseMap(base_p, base_q),
-            **{name: _as_poly_block(kind, data[name], m, field_ctx(name)) for name, kind in BLOCKS},
-            samples=samples,
-        )
+        blocks = {name: _as_poly_block(kind, data[name], m, field_ctx(name)) for name, kind in BLOCKS}
+        try:
+            t = TransitionData(base_map=BaseMap(base_p, base_q), **blocks, samples=samples)
+        except DaffineError as exc:
+            raise type(exc)(f"{ctx}: {exc}") from None
         edges.append((src, dst, t))
     return Atlas(m, (n1, n2, n3), charts, tuple(edges))
 

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm, prod
 from operator import add, mul, neg, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from ..errors import DimMismatch, SingularMatrix
 from .scalar import ONE, ZERO, Scalar, as_scalar
@@ -287,12 +287,6 @@ class Mat:
     @staticmethod
     def zero(r: int, c: int) -> "Mat":
         return Mat._trusted(((ZERO,) * c,) * r)
-
-    @staticmethod
-    def from_cols(cols: Sequence[Vec]) -> "Mat":
-        if not cols:
-            return Mat([])
-        return Mat([[col[i] for col in cols] for i in range(cols[0].dim)])
 
     @property
     def nrows(self) -> int:

@@ -544,8 +544,7 @@ def side_base_duality_report(a: NAffine, seed: int = 0, trials: int = 6) -> Repo
     Records cover: the final side base reproducing the bundle, each other side
     base carrying the expected dual data, membership transferring into every
     two-direction restriction, and the restricted special duals satisfying
-    the adjoint pairing laws (value independent of the core representative,
-    both marked shifts adding one).
+    the adjoint pairing law (both marked shifts adding one).
     """
     # Imported here because randgen builds on this module.
     from .randgen import rand_dual_pair, rand_graded_member, rand_vec

@@ -39,6 +39,7 @@ from .double import (
     aff2,
     classify_level_set,
     contains,
+    hd_eval,
     horizontal_dual,
     hull,
     hvh_chain,
@@ -46,10 +47,10 @@ from .double import (
     interchange_sides,
     model_vv,
     pairing,
+    vd_eval,
     vertical_dual,
 )
 from .errors import (
-    ConstraintViolated,
     DaffineError,
     UnknownOp,
     UnknownSuite,
@@ -279,14 +280,20 @@ def suite_duality_pairing(objs: Dict[str, object], seed: int, trials: int) -> Re
         a = block.bundle
         d = a.space
         dv, dh = vertical_dual(d), horizontal_dual(d)
+        cores = (Vec.zero(d.n3), Vec(range(1, d.n3 + 1)))
 
         def trial(rng):
             phi, psi = rand_dual_pair(rng, a)
-            try:
-                base = pairing(phi, psi, a)
-            except ConstraintViolated as exc:
-                yield independent, str(exc)
-                return
+            base = pairing(phi, psi, a)
+            for core in cores:
+                x = DoublePoint(d, phi.y, psi.z, core)
+                value = vd_eval(phi, x) - hd_eval(psi, x)
+                if value != base:
+                    yield independent, (
+                        f"pairing gave {format_scalar(base)}, phi(x) - psi(x) gave"
+                        f" {format_scalar(value)} at core {_fmt_vec(core)}"
+                    )
+                    break
             if a.is_special and not (
                 pairing(phi.shift_core(a.l2), psi, a) == base + 1
                 and pairing(phi, psi.shift_core(-a.l1), a) == base + 1

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from daffine import double
 from daffine.double import (
     DecomposedDouble,
     DoubleAffine,
@@ -202,8 +203,9 @@ def test_model_dims_drop_by_one_on_sides():
 
 def test_model_membership_matches_nullspace_oracle():
     rng = random.Random(43)
-    span1 = Mat.from_cols(list(model_vv(A232).side1_basis))
-    span2 = Mat.from_cols(list(model_vv(A232).side2_basis))
+    # the basis vectors as the columns of a matrix
+    span1 = Mat([tuple(v) for v in model_vv(A232).side1_basis]).transpose()
+    span2 = Mat([tuple(v) for v in model_vv(A232).side2_basis]).transpose()
     for _ in range(25):
         p = D232.point(rand_vec(rng, 2), rand_vec(rng, 3), rand_vec(rng, 2))
         in_span = span1.solve(p.y) is not None and span2.solve(p.z) is not None
@@ -324,6 +326,19 @@ def test_pairing_rank_one_example():
     for t in (0, 5):
         x = DoublePoint(D111, Vec.of(1), Vec.of(1), Vec.of(t))
         assert vd_eval(phi, x) - hd_eval(psi, x) == -1
+
+
+@given(st.data())
+def test_pairing_is_the_difference_at_every_interpolating_point(data):
+    n1, n2, n3 = data.draw(st.tuples(*[st.integers(1, 4)] * 3))
+    vec = lambda n: Vec(data.draw(st.lists(small, min_size=n, max_size=n)))
+    d = DecomposedDouble(n1, n2, n3)
+    a = DoubleAffine(d, Vec.unit(n1, 0), Vec.unit(n2, 0))
+    cov = vec(n3)
+    phi = DoublePoint(vertical_dual(d), vec(n1), cov, vec(n2))
+    psi = DoublePoint(horizontal_dual(d), cov, vec(n2), vec(n1))
+    x = DoublePoint(d, phi.y, psi.z, vec(n3))
+    assert pairing(phi, psi, a) == vd_eval(phi, x) - hd_eval(psi, x)
 
 
 def test_pairing_of_dual_basis_with_zero_section():
@@ -539,6 +554,27 @@ def test_hvh_sign_is_forced():
     bad = DoublePoint(d, xi.z, xi.y, xi.c)
     assert lhs == pairing(theta, good, ah)
     assert lhs != pairing(theta, bad, ah)
+
+
+def test_the_hvh_sign_check_runs_once_per_space(monkeypatch):
+    rng = random.Random(5)
+    double._hvh_sign_holds.cache_clear()
+    calls = []
+    pair = double._pair
+    monkeypatch.setattr(double, "_pair", lambda *args: calls.append(args) or pair(*args))
+    hvh_iso(rand_double_affine(rng, 2, 1, 3))
+    assert calls
+    calls.clear()
+    hvh_iso(rand_double_affine(rng, 2, 1, 3))
+    assert calls == []
+    hvh_iso(rand_double_affine(rng, 1, 2, 3))
+    assert calls
+
+
+def test_a_failed_sign_check_is_reported(monkeypatch):
+    monkeypatch.setattr(double, "_hvh_sign_holds", lambda d: False)
+    with pytest.raises(ConstraintViolated, match="^triple-dual sign check failed$"):
+        hvh_iso(A232)
 
 
 def test_hvh_requires_special():

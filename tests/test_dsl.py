@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from daffine import dsl
+from daffine import cli, dsl
 from daffine.affine import BispecialRep
 from daffine.atlas import Atlas, first_difference
 from daffine.dsl import (
@@ -603,6 +603,25 @@ def test_an_edge_block_of_the_wrong_shape_names_its_kind(field, value, expected)
     with pytest.raises(DaffineError) as err:
         elaborate(parse(text))
     assert str(err.value) == f"atlas block 't' edge a->b, field '{field}': {expected}"
+
+
+@pytest.mark.parametrize(
+    "fields, expected",
+    [
+        ({"alpha": "[[1, 2]]"}, "transition blocks have inconsistent fiber dimensions"),
+        ({"samples": "[[1, 2]]"}, "sample point dimension does not match the base"),
+        ({"alpha": "[[x1]]", "samples": "[[0]]"}, "alpha block is singular at sample point (Fraction(0, 1),)"),
+    ],
+)
+def test_an_inconsistent_edge_names_its_block_and_edge(fields, expected, tmp_path, capsys):
+    """Errors found only once the whole transition is built still say which
+    atlas block and edge they come from, and daff check exits 2."""
+    text = "atlas t { base_dim = 1; fiber_dims = [1, 1, 1]; charts = [a, b]; "
+    text += " ".join(f"a.b.{key} = {v};" for key, v in {**_EDGE, **fields}.items()) + " }"
+    path = tmp_path / "edge.daff"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: atlas block 't' edge a->b: {expected}\n"
 
 
 def test_non_integer_dimension_is_rejected():
