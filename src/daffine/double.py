@@ -34,6 +34,7 @@ from .errors import (
     ZeroFunctional,
 )
 from .exact import Bilinear, Mat, Scalar, Vec, as_scalar
+from .exact.linalg import _combine
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,14 @@ class DoublePoint:
         if (self.y.dim, self.z.dim, self.c.dim) != self.owner.dims:
             raise DimMismatch("point slots do not match the owning space")
 
+    @classmethod
+    def _trusted(cls, owner: DecomposedDouble, y: Vec, z: Vec, c: Vec) -> "DoublePoint":
+        """Build a point without the dims check: the slots must fit ``owner``,
+        as slots computed from a point of ``owner`` slot by slot do."""
+        p = object.__new__(cls)
+        p.__dict__.update(owner=owner, y=y, z=z, c=c)  # past the frozen __setattr__
+        return p
+
     def shift_core(self, delta: Vec) -> "DoublePoint":
         """Translate the core slot by delta."""
         return DoublePoint(self.owner, self.y, self.z, self.c + delta)
@@ -104,8 +113,9 @@ def aff1(p: DoublePoint, q: DoublePoint, lam: Scalar) -> DoublePoint:
     if p.y != q.y:
         raise FiberMismatch("aff1 needs a common y")
     lam = as_scalar(lam)
-    mu = 1 - lam
-    return DoublePoint(p.owner, p.y, p.z.scale(lam) + q.z.scale(mu), p.c.scale(lam) + q.c.scale(mu))
+    z = _combine(lam, p.z.entries, q.z.entries)
+    c = _combine(lam, p.c.entries, q.c.entries)
+    return DoublePoint._trusted(p.owner, p.y, Vec._trusted(z), Vec._trusted(c))
 
 
 def aff2(p: DoublePoint, q: DoublePoint, lam: Scalar) -> DoublePoint:
@@ -115,8 +125,9 @@ def aff2(p: DoublePoint, q: DoublePoint, lam: Scalar) -> DoublePoint:
     if p.z != q.z:
         raise FiberMismatch("aff2 needs a common z")
     lam = as_scalar(lam)
-    mu = 1 - lam
-    return DoublePoint(p.owner, p.y.scale(lam) + q.y.scale(mu), p.z, p.c.scale(lam) + q.c.scale(mu))
+    y = _combine(lam, p.y.entries, q.y.entries)
+    c = _combine(lam, p.c.entries, q.c.entries)
+    return DoublePoint._trusted(p.owner, Vec._trusted(y), p.z, Vec._trusted(c))
 
 
 def interchange_sides(

@@ -16,8 +16,10 @@ Products and determinants take one of two branches; inverses and row
 reduction need rational entries and always take the first:
 
 * When every entry is an ``int`` or a ``Fraction`` (the rational kernel),
-  ``dot``, ``@``, ``vec_mul``, ``det`` and ``inverse`` work on the integer
-  numerators and denominators and make one ``Fraction`` per result.  A dot
+  ``dot``, ``@``, ``vec_mul``, ``det``, ``inverse`` and the affine
+  combination ``lam * x + (1 - lam) * y`` (``_combine``, which
+  ``double.aff1``/``aff2`` use) work on the integer numerators and
+  denominators and make one ``Fraction`` per result.  A dot
   product sums ``p/q`` over a running common denominator; ``det``,
   ``inverse`` and ``rref`` scale each row by the lcm of its denominators and
   run one fraction-free (Bareiss) elimination, whose every division is exact
@@ -96,6 +98,25 @@ def _dot(xs, ys):
     for p in products:
         total = total + p
     return total
+
+
+def _combine(lam, xs, ys) -> tuple:
+    """The entries ``lam * x + (1 - lam) * y`` over the pairs.  When ``lam``
+    and every entry are ``int`` or ``Fraction``, each entry is summed over
+    the integer numerators and denominators and made as one ``Fraction``."""
+    if type(lam) in _RATIONAL and _is_rational(xs) and _is_rational(ys):
+        a, b = lam.numerator, lam.denominator
+        c = b - a  # 1 - lam == c / b
+        out = []
+        for x, y in zip(xs, ys):
+            q, s = x.denominator, y.denominator
+            if q == s:
+                out.append(Fraction(a * x.numerator + c * y.numerator, b * q))
+            else:
+                out.append(Fraction(a * x.numerator * s + c * y.numerator * q, b * q * s))
+        return tuple(out)
+    mu = 1 - lam
+    return tuple(lam * x + mu * y for x, y in zip(xs, ys))
 
 
 def _rational_rows(rows):
@@ -259,9 +280,13 @@ class Vec:
 
 
 class Mat:
-    """An immutable matrix stored as a tuple of row tuples."""
+    """An immutable matrix stored as a tuple of row tuples.
 
-    __slots__ = ("rows",)
+    The private slot ``_inv`` holds the inverse once ``inverse`` has found
+    one; equality, hashing and ``repr`` read ``rows`` alone.
+    """
+
+    __slots__ = ("rows", "_inv")
 
     def __init__(self, rows: Iterable[Iterable]):
         rs = tuple(_exact(r) for r in rows)
@@ -443,8 +468,13 @@ class Mat:
         Fraction-free Gauss-Jordan on ``[B | I]``, where row i of ``B`` is row
         i of ``self`` times its denominators' lcm ``s_i``, ends at
         ``[d I | d B^-1]``; entry (i, j) of the inverse is
-        ``(d B^-1)[i][j] * s_j / d``.
+        ``(d B^-1)[i][j] * s_j / d``.  The inverse is computed once per
+        matrix and then returned as the same object; a singular matrix is
+        eliminated, and raises, on every call.
         """
+        inv = getattr(self, "_inv", None)
+        if inv is not None:
+            return inv
         if self.nrows != self.ncols:
             raise DimMismatch("inverse of non-square matrix")
         a, scales = _cleared(_rational_rows(self.rows))
@@ -454,7 +484,9 @@ class Mat:
         _, d, pivots = _bareiss(a, n)
         if len(pivots) < n:
             raise SingularMatrix("matrix is singular")
-        return Mat._trusted(tuple(tuple(Fraction(r[n + j] * scales[j], d) for j in range(n)) for r in a))
+        inv = Mat._trusted(tuple(tuple(Fraction(r[n + j] * scales[j], d) for j in range(n)) for r in a))
+        object.__setattr__(self, "_inv", inv)
+        return inv
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and bool(self.det())

@@ -4,7 +4,8 @@ A ``Bilinear`` with shape ``(k, r, s)`` sends a pair (u, w) with dims (r, s)
 to a k-vector; entry ``[t][i][b]`` multiplies ``u[i] * w[b]``.  Entries are
 ints, Fractions or polynomials; an entry of any other type, such as a float,
 is rejected with :class:`TypeError` when the block is built, as in ``Vec``
-and ``Mat``.
+and ``Mat``.  The blocks the operations below compute are built by the
+private ``_trusted`` constructor, without that check.
 
 Each layer ``entries[t]`` is an r x s matrix, and every operation is a
 ``Mat`` operation on the layers: ``+``, negation and ``scale`` layer by
@@ -39,6 +40,14 @@ class Bilinear:
                     raise DimMismatch("ragged bilinear rows")
         object.__setattr__(self, "entries", es)
 
+    @classmethod
+    def _trusted(cls, entries: tuple) -> "Bilinear":
+        """Wrap a tuple of equal-shaped layers of row tuples without the
+        exactness check, as ``Mat._trusted`` does."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "entries", entries)
+        return b
+
     def __setattr__(self, *args):  # pragma: no cover - defensive
         raise AttributeError("Bilinear is immutable")
 
@@ -70,13 +79,13 @@ class Bilinear:
     def __add__(self, other: "Bilinear") -> "Bilinear":
         if self.shape != other.shape:
             raise DimMismatch(f"bilinear shapes {self.shape} vs {other.shape}")
-        return Bilinear((a + b).rows for a, b in zip(self._layers(), other._layers()))
+        return Bilinear._trusted(tuple((a + b).rows for a, b in zip(self._layers(), other._layers())))
 
     def __neg__(self) -> "Bilinear":
-        return Bilinear((-a).rows for a in self._layers())
+        return Bilinear._trusted(tuple((-a).rows for a in self._layers()))
 
     def scale(self, c) -> "Bilinear":
-        return Bilinear(a.scale(c).rows for a in self._layers())
+        return Bilinear._trusted(tuple(a.scale(c).rows for a in self._layers()))
 
     def apply(self, u: Vec, w: Vec) -> Vec:
         """Contract both slots: result[t] = sum_{i,b} entries[t][i][b] u[i] w[b]."""
@@ -104,13 +113,13 @@ class Bilinear:
         if A.nrows != self.shape[1]:
             raise DimMismatch("left matrix contraction dimension")
         cols = [A.col(j) for j in range(A.ncols)]
-        return Bilinear([a.vec_mul(c).entries for c in cols] for a in self._layers())
+        return Bilinear._trusted(tuple(tuple(a.vec_mul(c).entries for c in cols) for a in self._layers()))
 
     def right_mat(self, B: Mat) -> "Bilinear":
         """Precompose the second slot with B: result[t] = entries[t] @ B."""
         if B.nrows != self.shape[2]:
             raise DimMismatch("right matrix contraction dimension")
-        return Bilinear((a @ B).rows for a in self._layers())
+        return Bilinear._trusted(tuple((a @ B).rows for a in self._layers()))
 
     def post(self, S: Mat) -> "Bilinear":
         """Apply S to the output slot: result[t'] = sum_t S[t',t] entries[t],
@@ -119,7 +128,7 @@ class Bilinear:
         if S.ncols != k:
             raise DimMismatch("output contraction dimension")
         flat = Mat._trusted(tuple(tuple(chain.from_iterable(layer)) for layer in self.entries))
-        return Bilinear(tuple(row[i * s:(i + 1) * s] for i in range(r)) for row in (S @ flat).rows)
+        return Bilinear._trusted(tuple(tuple(row[i * s:(i + 1) * s] for i in range(r)) for row in (S @ flat).rows))
 
     def __repr__(self) -> str:
         return f"Bilinear(shape={self.shape})"

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import FrozenSet, Optional, Tuple
 
 from .double import (
@@ -97,6 +98,8 @@ class TrivialBispecial:
             v=Vec.unit(self.hull_dim, self.v_index),
         )
 
+    # Memoised, as double.vertical_dual is: beta and kappa ask for it per point.
+    @cache
     def dual_bundle(self) -> "TrivialBispecial":
         return TrivialBispecial(self.base_dim, self.n, not self.dual_form)
 
@@ -114,6 +117,15 @@ class CotangentPoint:
         if self.x.dim != m or self.p.dim != m or self.y.dim != h or self.pi.dim != h:
             raise DimMismatch("cotangent point does not fit the bundle")
 
+    @classmethod
+    def _trusted(cls, bundle: TrivialBispecial, x: Vec, y: Vec, p: Vec, pi: Vec) -> "CotangentPoint":
+        """Build a point without the dims check: the slots must fit
+        ``bundle``, as slots computed from a point of a bundle with the same
+        dims slot by slot do."""
+        w = object.__new__(cls)
+        w.__dict__.update(bundle=bundle, x=x, y=y, p=p, pi=pi)  # past the frozen __setattr__
+        return w
+
     def slot(self, s: Slot):
         kind, i = s
         return self.y[i] if kind == "y" else self.pi[i]
@@ -121,8 +133,8 @@ class CotangentPoint:
     def with_slot(self, s: Slot, value) -> "CotangentPoint":
         kind, i = s
         if kind == "y":
-            return CotangentPoint(self.bundle, self.x, self.y.replaced({i: value}), self.p, self.pi)
-        return CotangentPoint(self.bundle, self.x, self.y, self.p, self.pi.replaced({i: value}))
+            return CotangentPoint._trusted(self.bundle, self.x, self.y.replaced({i: value}), self.p, self.pi)
+        return CotangentPoint._trusted(self.bundle, self.x, self.y, self.p, self.pi.replaced({i: value}))
 
 
 @dataclass(frozen=True)
@@ -150,7 +162,7 @@ class ReducedCovector:
             return  # every masked slot already holds Fraction(0)
         y = p.y.replaced({i: ZERO for kind, i in mask if kind == "y"})
         pi = p.pi.replaced({i: ZERO for kind, i in mask if kind != "y"})
-        object.__setattr__(self, "point", CotangentPoint(p.bundle, p.x, y, p.p, pi))
+        object.__setattr__(self, "point", CotangentPoint._trusted(p.bundle, p.x, y, p.p, pi))
 
     @property
     def bundle(self) -> TrivialBispecial:
@@ -381,7 +393,7 @@ def beta(w):
     if isinstance(w, ReducedCovector):
         mask = frozenset(("pi" if k == "y" else "y", i) for k, i in w.mask)
         return ReducedCovector(beta(w.point), mask)
-    return CotangentPoint(w.bundle.dual_bundle(), w.x, w.pi, -w.p, w.y)
+    return CotangentPoint._trusted(w.bundle.dual_bundle(), w.x, w.pi, -w.p, w.y)
 
 
 def kappa(c: ReducedCovector) -> ReducedCovector:
@@ -441,7 +453,7 @@ def apply_adapted(w, mat: Mat):
         inverse = mat.inverse()
     except SingularMatrix:
         raise ConstraintViolated(_NOT_ADAPTED) from None
-    return replace(w, y=mat.vec_mul(w.y), pi=inverse @ w.pi)
+    return CotangentPoint._trusted(w.bundle, w.x, mat.vec_mul(w.y), w.p, inverse @ w.pi)
 
 
 # ---------------------------------------------------------------------------

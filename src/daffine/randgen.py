@@ -23,8 +23,21 @@ _FRACTIONS = tuple(tuple(Fraction(p, q) for q in range(1, 5)) for p in range(-6,
 
 
 def rand_frac(rng: random.Random) -> Fraction:
-    """``Fraction(rng.randint(-6, 6), rng.randint(1, 4))``, from a table."""
-    return _FRACTIONS[rng.randint(-6, 6) + 6][rng.randint(1, 4) - 1]
+    """``Fraction(rng.randint(-6, 6), rng.randint(1, 4))``, from a table.
+
+    ``randint(a, b)`` is ``a`` plus ``rng``'s rejection draw below
+    ``n = b - a + 1``: ``getrandbits(n.bit_length())`` until the value is
+    below ``n``.  The two draws are made that way here, 4 bits below 13 and
+    then 3 bits below 4, so the stream and the values are ``randint``'s.
+    """
+    bits = rng.getrandbits
+    p = bits(4)
+    while p >= 13:
+        p = bits(4)
+    q = bits(3)
+    while q >= 4:
+        q = bits(3)
+    return _FRACTIONS[p][q]
 
 
 def rand_vec(rng: random.Random, d: int) -> Vec:

@@ -41,7 +41,7 @@ from daffine.errors import (
     NotSpecial,
     ZeroFunctional,
 )
-from daffine.exact import Bilinear, Mat, Vec
+from daffine.exact import Bilinear, Mat, Poly, Vec
 from daffine.naffine import GradedSpace, _as_degree
 from daffine.phase import TrivialBispecial
 
@@ -137,6 +137,37 @@ def test_aff_fiber_mismatch():
         aff1(p, q, F(1, 2))
     with pytest.raises(FiberMismatch):
         aff2(D111.point((1,), (1,), (0,)), D111.point((1,), (2,), (0,)), F(1, 2))
+
+
+def _same_point(got, want):
+    assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+
+
+entries = st.one_of(
+    small, st.integers(-9, 9), st.builds(lambda c, e: Poly(1, {(e,): c}), small, st.integers(0, 2))
+)
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), small, st.data())
+def test_aff_combinations_equal_the_public_scale_and_add(n1, n2, n3, lam, data):
+    """aff1/aff2 build each mixed slot with one Fraction per entry (or the
+    generic loop for polynomial entries) and the point unchecked; each result
+    equals the point the checking constructor builds from scale and +."""
+    d = DecomposedDouble(n1, n2, n3)
+    vec = lambda n: Vec(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    y, z = vec(n1), vec(n2)
+    p = DoublePoint(d, y, z, vec(n3))
+    q1, q2 = DoublePoint(d, y, vec(n2), vec(n3)), DoublePoint(d, vec(n1), z, vec(n3))
+    mix = lambda a, b: a.scale(lam) + b.scale(1 - lam)
+    _same_point(aff1(p, q1, lam), DoublePoint(d, y, mix(p.z, q1.z), mix(p.c, q1.c)))
+    _same_point(aff2(p, q2, lam), DoublePoint(d, mix(p.y, q2.y), z, mix(p.c, q2.c)))
+
+
+def test_a_point_that_does_not_fit_its_space_is_refused():
+    with pytest.raises(DimMismatch, match="^point slots do not match the owning space$"):
+        DoublePoint(D111, Vec.of(1, 2), Vec.of(1), Vec.of(1))
+    with pytest.raises(DimMismatch, match="^point slots do not match the owning space$"):
+        D232.point((1, 0), (1, 0, 0), (1,))
 
 
 def test_aff_preserves_membership():

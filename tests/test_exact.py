@@ -20,7 +20,7 @@ from daffine.exact import (
     as_scalar,
     format_scalar,
 )
-from daffine.exact import linalg
+from daffine.exact import linalg, tensor
 from daffine.phase import TrivialBispecial, chi, h1, iota
 from daffine.randgen import rand_cotangent
 
@@ -197,21 +197,27 @@ def test_kernel_results_skip_the_second_check(monkeypatch):
     p = Poly.variable(2, 0)
     v, m = Vec([F(1, 2), 3]), Mat([[1, F(2, 3)], [F(-1), 4]])
     pv, pm = Vec([p, F(1, 2)]), Mat([[p, 1], [F(1, 3), p * p]])
+    g = Bilinear([[[1, F(1, 2)], [F(-2, 3), 0]], [[p, 2], [F(1, 5), p * p]]])
     singular = Mat([[1, 2], [2, 4]])
     checked = []
     real = linalg._exact
     monkeypatch.setattr(linalg, "_exact", lambda entries: checked.append(entries) or real(entries))
+    monkeypatch.setattr(tensor, "_exact", linalg._exact)
     results = [
         v + v, v - v, -v, v.scale(F(3)), 2 * v, v.concat(v), m @ v, m @ m, m.vec_mul(v),
         m + m, m - m, -m, m.scale(2), m.transpose(), m.inverse(), m.row(1), m.col(0),
         pv + pv, -pv, pv.scale(p), pm @ pv, pm @ pm, pm.vec_mul(pv), pm.scale(F(1, 2)),
         m.adjugate(), pm.adjugate(), m.solve(v), singular.kernel()[0],
         Vec.zero(3), Vec.unit(3, 1), Mat.zero(2, 3), Mat.identity(3),
+        g + g, -g, g.scale(F(3, 2)), g.scale(p), g.left_mat(pm), g.right_mat(m), g.post(pm),
     ]
     assert checked == []
-    for r in results:  # each equals, and prints like, its public construction
-        public = Vec(r.entries) if isinstance(r, Vec) else Mat(r.rows)
-        assert r == public and repr(r) == repr(public)
+    for r in results:  # each equals, hashes and prints like its public construction
+        if isinstance(r, Bilinear):
+            public = Bilinear(r.entries)
+        else:
+            public = Vec(r.entries) if isinstance(r, Vec) else Mat(r.rows)
+        assert r == public and hash(r) == hash(public) and repr(r) == repr(public)
 
 
 class _FloatyRing:
@@ -478,6 +484,55 @@ def test_generic_dot_starts_from_the_first_product(pair):
 def test_empty_generic_dot_is_fraction_zero():
     got = linalg._dot([], [Poly.variable(2, 0)])
     assert got == 0 and type(got) is F
+
+
+weights = st.one_of(
+    st.sampled_from([0, 1, F(0), F(1)]), st.integers(-9, -1), st.fractions(-20, -1, max_denominator=12), rationals
+)
+
+
+@given(
+    weights,
+    st.integers(0, 6).flatmap(lambda n: st.tuples(*[st.lists(scalars, min_size=n, max_size=n)] * 2)),
+)
+def test_affine_combination_makes_one_fraction_per_entry(lam, pair):
+    xs, ys = pair
+    got = linalg._combine(lam, xs, ys)
+    assert got == tuple(lam * x + (1 - lam) * y for x, y in zip(xs, ys))
+    assert all(type(e) is F for e in got)
+
+
+@given(
+    weights,
+    st.integers(0, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(polys, min_size=n, max_size=n),
+            st.lists(st.one_of(scalars, polys), min_size=n, max_size=n),
+        )
+    ),
+)
+def test_affine_combination_of_polynomials_takes_the_generic_loop(lam, pair):
+    xs, ys = pair
+    for a, b in (xs, ys), (ys, xs):
+        got = linalg._combine(lam, a, b)
+        assert got == tuple(lam * x + (1 - lam) * y for x, y in zip(a, b))
+        assert [type(e) for e in got] == [type(lam * x + (1 - lam) * y) for x, y in zip(a, b)]
+
+
+def test_an_inverse_is_computed_once_and_a_singular_matrix_raises_every_time(monkeypatch):
+    m = Mat([[1, F(2, 3)], [F(-1), 4]])
+    inv = m.inverse()
+    eliminations = []
+    real = linalg._bareiss
+    monkeypatch.setattr(linalg, "_bareiss", lambda a, n: eliminations.append(n) or real(a, n))
+    assert m.inverse() is inv and eliminations == []
+    public = Mat(m.rows)  # the kept inverse is not part of the matrix's value
+    assert m == public and hash(m) == hash(public) and repr(m) == repr(public)
+    singular = Mat([[1, 2], [2, 4]])
+    for _ in range(2):
+        with pytest.raises(SingularMatrix):
+            singular.inverse()
+    assert eliminations == [2, 2]
 
 
 @given(

@@ -483,8 +483,9 @@ def test_singular_change_that_fixes_the_normal_form_is_refused():
     singular = Mat(tuple(int(i == j != zeroed) for j in range(h)) for i in range(h))
     assert not is_adapted(E22, singular)
     pt = rand_cotangent(random.Random(24), E22)
-    with pytest.raises(ConstraintViolated, match="^basis change does not preserve the normal form$"):
-        apply_adapted(pt, singular)
+    for _ in range(2):  # no inverse is kept, so the second call is refused too
+        with pytest.raises(ConstraintViolated, match="^basis change does not preserve the normal form$"):
+            apply_adapted(pt, singular)
 
 
 def test_adapted_changes_preserve_the_fiber_pairing():
@@ -643,6 +644,38 @@ def test_dual_tower_shapes_and_report():
     assert pdual.l2 == Vec.of(1, -2)
     assert pdual.sigma == side_functionals(E22)[1]
     assert report.passed, report.to_text()
+
+
+def _same_point(got, want):
+    assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("bundle", [E11, E22, TrivialBispecial(0, 0), TrivialBispecial(2, 1, dual_form=True)])
+def test_computed_points_equal_their_public_construction(bundle):
+    """with_slot, beta and apply_adapted build their points unchecked; each
+    equals the point the checking constructor builds from the formula."""
+    rng = random.Random(f"trusted {bundle}")
+    m, h = bundle.base_dim, bundle.hull_dim
+    dual = TrivialBispecial(m, bundle.n, not bundle.dual_form)
+    assert bundle.dual_bundle() == dual and bundle.dual_bundle() is bundle.dual_bundle()
+    for _ in range(10):
+        pt = rand_cotangent(rng, bundle)
+        g = rand_adapted(rng, bundle)
+        i, v = rng.randrange(h), rand_frac(rng)
+        put = lambda w: Vec(v if j == i else e for j, e in enumerate(w))
+        _same_point(pt.with_slot(("y", i), v), CotangentPoint(bundle, pt.x, put(pt.y), pt.p, pt.pi))
+        _same_point(pt.with_slot(("pi", i), v), CotangentPoint(bundle, pt.x, pt.y, pt.p, put(pt.pi)))
+        _same_point(beta(pt), CotangentPoint(dual, pt.x, pt.pi, Vec(-e for e in pt.p), pt.y))
+        moved = CotangentPoint(bundle, pt.x, g.transpose() @ pt.y, pt.p, Mat(g.rows).inverse() @ pt.pi)
+        _same_point(apply_adapted(pt, g), moved)
+        _same_point(apply_adapted(pt, g), moved)  # the second call reads the kept inverse
+
+
+def test_a_cotangent_point_that_does_not_fit_its_bundle_is_refused():
+    x, y = Vec.of(1), Vec.of(1, 0, 0)
+    for slots in ((x, y, x, Vec.of(1, 0)), (y, y, x, y), (x, y, Vec.zero(2), y)):
+        with pytest.raises(DimMismatch, match="^cotangent point does not fit the bundle$"):
+            CotangentPoint(E11, *slots)
 
 
 def test_one_form_must_not_vanish():
