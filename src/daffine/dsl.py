@@ -4,9 +4,11 @@ A document is a sequence of named blocks::
 
     double A { n1 = 1; n2 = 1; n3 = 1; l1 = [1]; l2 = [1]; sigma = [1]; }
 
-Block kinds: ``space`` (hull_dim, alpha, v), ``double`` (dims, functionals,
-optional marked section and constraint rows), ``atlas`` (wiring plus per-edge
-coefficient polynomials in x1..xm, keyed ``src.dst.field``), ``special_bundle``
+Block kinds: ``space`` (hull_dim, alpha, optional v: the special affine space
+{alpha = 1}, elaborated as the order-one bundle of :mod:`daffine.naffine`),
+``double`` (dims, functionals, optional marked section and constraint rows),
+``atlas`` (wiring plus per-edge coefficient polynomials in x1..xm, keyed
+``src.dst.field``), ``special_bundle``
 (m, n, optional omega covector) and ``graded`` (order, component dims keyed by
 bitstrings, functionals keyed by unit degree, optional sigma).  An edge's
 fields are its base map, the nine transition blocks and optional sample
@@ -30,7 +32,6 @@ from functools import partial
 from math import comb
 from typing import Dict, List, Optional, Tuple, Union
 
-from .affine import BispecialRep
 from .atlas import BLOCKS, Atlas, TransitionData, map_entries
 from .double import DecomposedDouble, DoubleAffine
 from .errors import (
@@ -486,13 +487,6 @@ def _canonical(kind: str, pairs) -> Tuple[Tuple[str, Value], ...]:
     return _canonical_fields(kind, fields, lambda _at, want, key: ParseError(0, 0, want, key))
 
 
-def block_from_space(name: str, rep: BispecialRep) -> Block:
-    pairs = [("hull_dim", Fraction(rep.hull_dim)), ("alpha", value_of_block(rep.alpha))]
-    if rep.v is not None:
-        pairs.append(("v", value_of_block(rep.v)))
-    return Block("space", name, _canonical("space", pairs))
-
-
 def block_from_double(name: str, space, bundle=None, constraints=None) -> Block:
     """A double block from a DecomposedDouble plus optional structure."""
     pairs = [(k, Fraction(d)) for k, d in zip(("n1", "n2", "n3"), space.dims)]
@@ -655,12 +649,15 @@ def _as_poly_block(kind: type, v: Value, m: int, ctx: str):
         raise DaffineError(f"{ctx}: expected {_SHAPES[kind]}") from None
 
 
-def _elaborate_space(block: Block) -> BispecialRep:
+def _elaborate_space(block: Block) -> NAffine:
+    """The order-one bundle {alpha = 1} on a hull of one component, marked by
+    the model vector v when there is one."""
     f = _Fields(block)
     hull_dim = _as_int(f.need("hull_dim"), f.ctx("hull_dim"))
     alpha = _as_vec(f.need("alpha"), f.ctx("alpha"))
     v = f.opt("v")
-    return BispecialRep(hull_dim, alpha, None if v is None else _as_vec(v, f.ctx("v")))
+    space = GradedSpace(1, {(1,): hull_dim})
+    return NAffine(space, (alpha,), None if v is None else _as_vec(v, f.ctx("v")))
 
 
 def _elaborate_double(block: Block) -> DoubleBlock:

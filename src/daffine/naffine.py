@@ -14,6 +14,13 @@ conjugate momentum components and turns the marked section into one more
 functional; its side bases recover the original bundle and its duals, and any
 two directions restrict to a double affine bundle whose special duals satisfy
 the adjoint pairing laws checked by :func:`side_base_duality_report`.
+
+At order one a bundle is a special affine space: the level set {alpha = 1} of
+one functional on its hull, marked by a model vector v (alpha(v) = 0).  This
+is what a ``space`` block of a ``.daff`` document elaborates to.  The side
+bases of its cotangent lift are its special dual (the functionals f with
+f(v) = 1, marked by alpha) and the space itself, so the special dual is an
+involution on the nose.
 """
 
 from __future__ import annotations

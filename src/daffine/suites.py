@@ -25,7 +25,6 @@ from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import dsl
-from .affine import BispecialRep
 from .atlas import (
     Atlas,
     check_atlas_model_hull,
@@ -453,7 +452,9 @@ SUITE_NAMES = tuple(SUITES)
 # ---------------------------------------------------------------------------
 
 
-def _describe(obj: object) -> str:
+def _describe(kind: str, obj: object) -> str:
+    if kind == "space":
+        return f"hull dim {obj.space.total_dim}"
     if isinstance(obj, dsl.DoubleBlock):
         bits = [f"dims {obj.space.dims}"]
         if obj.bundle is not None:
@@ -461,8 +462,6 @@ def _describe(obj: object) -> str:
         if obj.constraints is not None:
             bits.append(f"{len(obj.constraints)} constraint rows")
         return ", ".join(bits)
-    if isinstance(obj, BispecialRep):
-        return f"hull dim {obj.hull_dim}"
     if isinstance(obj, dsl.SpecialBundleBlock):
         e = obj.bundle
         tail = ", with base covector" if obj.omega is not None else ""
@@ -477,7 +476,7 @@ def _describe(obj: object) -> str:
 
 def _check(doc: dsl.Document, objs: Dict[str, object]) -> Report:
     records = [
-        CheckRecord(f"{b.kind} {b.name}", PASS, _describe(objs[b.name])) for b in doc.blocks
+        CheckRecord(f"{b.kind} {b.name}", PASS, _describe(b.kind, objs[b.name])) for b in doc.blocks
     ]
     if not records:
         records.append(CheckRecord("empty document", PASS, "nothing to elaborate"))

@@ -355,3 +355,25 @@ def test_a_huge_dimension_exits_two_at_once(n1, tmp_path, capsys):
     assert captured.err == (
         f"error: double block 'A', field 'n1': a dimension is at most {dsl.MAX_DIM}, got {n1}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param("hull_dim = 3; alpha = [0, 1]; v = [1, 0, 0];", id="alpha-too-short"),
+        pytest.param("hull_dim = 3; alpha = [0, 0, 0, 1]; v = [1, 0, 0];", id="alpha-too-long"),
+        pytest.param("hull_dim = 3; alpha = [0, 0, 0]; v = [1, 0, 0];", id="alpha-zero"),
+        pytest.param("hull_dim = 3; alpha = [0, 0, 1]; v = [1, 0];", id="v-wrong-size"),
+        pytest.param("hull_dim = 3; alpha = [0, 0, 1]; v = [0, 0, 0];", id="v-zero"),
+        pytest.param("hull_dim = 3; alpha = [0, 0, 1]; v = [1, 0, 1];", id="alpha-of-v-nonzero"),
+        pytest.param("hull_dim = 0; alpha = [1]; v = [1];", id="hull-dim-0"),
+        pytest.param("hull_dim = -1; alpha = [1]; v = [1];", id="hull-dim-negative"),
+    ],
+)
+def test_an_invalid_space_block_exits_two(fields, tmp_path, capsys):
+    path = tmp_path / "doc.daff"
+    path.write_text(f"space S {{ {fields} }}\n", encoding="utf-8")
+    assert cli.main(["verify", "--suite", "naffine", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

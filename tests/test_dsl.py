@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from daffine import cli, dsl
-from daffine.affine import BispecialRep
 from daffine.atlas import Atlas, first_difference
 from daffine.dsl import (
     MAX_EXPONENT,
@@ -24,7 +23,6 @@ from daffine.dsl import (
     block_from_atlas,
     block_from_double,
     block_from_graded,
-    block_from_space,
     block_from_special_bundle,
     elaborate,
     parse,
@@ -37,7 +35,7 @@ from daffine.errors import (
     UnresolvedReference,
 )
 from daffine.exact import Poly, Vec
-from daffine.naffine import NAffine
+from daffine.naffine import GradedSpace, NAffine
 from daffine.phase import OneForm, TrivialBispecial
 from daffine.randgen import rand_double_affine, rand_naffine, three_chart_atlas
 
@@ -493,8 +491,7 @@ def test_parse_error_fixture_names_the_field():
 def test_space_block_builds_a_bispecial_presentation():
     doc = parse("space S { hull_dim=3; alpha=[0,0,1]; v=[1,0,0]; }")
     rep = elaborate(doc)["S"]
-    assert isinstance(rep, BispecialRep)
-    assert rep.hull_dim == 3 and rep.v == Vec.of(1, 0, 0)
+    assert rep == NAffine(GradedSpace(1, {(1,): 3}), (Vec.of(0, 0, 1),), Vec.of(1, 0, 0))
 
 
 def test_double_needs_both_functionals_or_neither():
@@ -644,8 +641,9 @@ def test_double_block_serializer_round_trips():
 
 
 def test_space_and_bundle_serializers_round_trip():
+    (space,) = parse("space S { hull_dim=3; alpha=[0,0,1]; v=[1,0,0]; }").blocks
     doc = Document((
-        block_from_space("S", BispecialRep(3, Vec.of(0, 0, 1), Vec.of(1, 0, 0))),
+        space,
         block_from_special_bundle("E", TrivialBispecial(1, 2), OneForm(Vec.of(7))),
     ))
     assert parse(print_document(doc)) == doc

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from daffine import dsl
-from daffine.affine import BispecialRep, aff
 from daffine.atlas import identity_transition, induce_hull, restrict_hull
 from daffine.double import DecomposedDouble, DoubleAffine, aff1, aff2, classify_level_set
 from daffine.errors import DimMismatch, MissingSubstitute, SingularMatrix
@@ -263,7 +262,6 @@ _INEXACT = [
 _D = DecomposedDouble(1, 1, 1)
 _BUNDLE = TrivialBispecial(1, 1)
 _COTANGENT = rand_cotangent(random.Random(0), _BUNDLE)
-_LINE = BispecialRep(2, Vec.of(0, 1))
 _P, _Q = _D.point([1], [2], [3]), _D.point([1], [2], [5])
 
 # (name, build from one value x, what it takes besides an int or a Fraction):
@@ -280,7 +278,6 @@ _ENTRY_POINTS = [
     ("Poly", lambda x: Poly(1, {(1,): x}), ("str",)),
     ("Poly.const", lambda x: Poly.const(1, x), ("str",)),
     ("Poly.eval", lambda x: Poly.variable(1, 0).eval([x]), ("str",)),
-    ("aff", lambda x: aff(_LINE.point([3, 1]), _LINE.point([0, 1]), x), ("str",)),
     ("aff1", lambda x: aff1(_P, _Q, x), ("str",)),
     ("aff2", lambda x: aff2(_P, _D.point([4], [2], [5]), x), ("str",)),
     ("restrict_hull", lambda x: restrict_hull(induce_hull(identity_transition(1, 1, 1, 1)), x, 1), ("str",)),

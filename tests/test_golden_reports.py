@@ -16,7 +16,9 @@ their goldens guard the rational kernel in :mod:`daffine.exact.linalg`.
 ``build --op model`` and the model-hull suite on ``special_double`` take the
 kernel of a double block's side functionals (``rref`` on the integer
 kernel), and the phase, contact, bbl, affctg, bbln and sides builds pin the
-constructions of the phase tower and of the n-fold side bases.
+constructions of the phase tower and of the n-fold side bases; on
+``special_double`` the naffine suite and the sides build pin the special dual
+of its ``space`` block, an order-one bundle.
 """
 
 import json

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from daffine.affine import BispecialRep, special_dual
 from daffine.atlas import apply_transition, as_double_morphism
 from daffine.double import (
     DecomposedDouble,
@@ -459,14 +458,76 @@ def test_order_two_side_bases_match_the_double_duals():
 
 
 def test_order_one_matches_the_affine_special_dual():
+    # The special dual of {alpha = 1} marked by v: the functionals f with
+    # f(v) = 1 on the same hull, marked by alpha.
     rng = random.Random(16)
     a1 = rand_naffine(rng, 1, maxdim=3)
-    l, v = a1.functionals[0], a1.sigma
-    dual = special_dual(BispecialRep(l.dim, l, v))
     sides = side_bases(bbl_n(a1))
-    assert sides[0].functionals == (dual.alpha,)
-    assert sides[0].sigma == dual.v
+    assert sides[0] == NAffine(a1.space, (a1.sigma,), a1.functionals[0])
     assert sides[1] == a1
+
+
+# A special affine space is an order-one bundle: {alpha = 1} in its hull,
+# marked by a model vector v.  Its special dual is the marked side base of the
+# cotangent lift (the other side base gives the space back).
+@st.composite
+def special_spaces(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return rand_naffine(rng, 1, maxdim=draw(st.integers(1, 4)))
+
+
+def special_dual(a: NAffine) -> NAffine:
+    return side_bases(bbl_n(a))[0]
+
+
+small_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+
+
+@given(special_spaces())
+def test_the_special_dual_taken_twice_is_the_identity(a):
+    assert special_dual(special_dual(a)) == a
+
+
+@given(special_spaces(), st.integers(0, 2**32 - 1), small_fractions)
+def test_dual_points_step_by_one_along_the_marked_vector(a, seed, t):
+    rng = random.Random(seed)
+    dual = special_dual(a)
+    f = rand_graded_member(rng, dual).flat()  # f(v) = 1
+    x = rand_graded_member(rng, a).flat()
+    assert f.dot(a.sigma) == 1
+    assert f.dot(x + a.sigma.scale(t)) == f.dot(x) + t
+
+
+@given(special_spaces(), st.integers(0, 2**32 - 1))
+def test_the_dual_marked_vector_is_constant_one_on_the_space(a, seed):
+    x = rand_graded_member(random.Random(seed), a).flat()
+    assert special_dual(a).sigma == a.functionals[0]
+    assert special_dual(a).sigma.dot(x) == 1
+
+
+_LINE_HULL = GradedSpace(1, {(1,): 2})
+
+
+@pytest.mark.parametrize(
+    "alpha, v, error",
+    [
+        pytest.param((0, 0), (1, 0), ZeroFunctional, id="alpha-zero"),
+        pytest.param((0, 1), (0, 0), NotSpecial, id="v-zero"),
+        pytest.param((0, 1), (1, 1), NotSpecial, id="alpha-of-v-nonzero"),
+        pytest.param((0, 0, 1), (1, 0), DimMismatch, id="alpha-too-long"),
+        pytest.param((1,), (1, 0), DimMismatch, id="alpha-too-short"),
+        pytest.param((0, 1), (1, 0, 0), DimMismatch, id="v-too-long"),
+        pytest.param((0, 1), (1,), DimMismatch, id="v-too-short"),
+    ],
+)
+def test_an_invalid_special_affine_space_is_refused(alpha, v, error):
+    with pytest.raises(error):
+        NAffine(_LINE_HULL, (Vec(alpha),), Vec(v))
+
+
+def test_the_special_dual_needs_a_marked_vector():
+    with pytest.raises(NotSpecial):
+        bbl_n(NAffine(_LINE_HULL, (Vec((0, 1)),)))
 
 
 def test_order_one_lift_matches_the_phase_double():

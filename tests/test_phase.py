@@ -113,8 +113,8 @@ def rand_adapted(rng, bundle):
 
 def test_normal_form_marks_the_right_slots():
     f = E22.fiber()
-    assert f.alpha == Vec.unit(4, 3) and f.v == Vec.unit(4, 0)
-    assert [f.v[i] for i in range(4)] == [1, 0, 0, 0]
+    assert f.functionals == (Vec.unit(4, 3),) and f.sigma == Vec.unit(4, 0)
+    assert [f.sigma[i] for i in range(4)] == [1, 0, 0, 0]
     dual = E22.dual_bundle()
     assert dual.alpha_index == 0 and dual.v_index == 3
     assert dual.dual_bundle() == E22
@@ -644,6 +644,21 @@ def test_dual_tower_shapes_and_report():
     assert pdual.l2 == Vec.of(1, -2)
     assert pdual.sigma == side_functionals(E22)[1]
     assert report.passed, report.to_text()
+
+
+def test_the_dual_core_record_names_both_dimensions_when_they_differ(monkeypatch):
+    wide = TrivialBispecial(E22.base_dim, E22.n + 1).fiber()
+    monkeypatch.setattr(TrivialBispecial, "fiber", lambda self: wide)
+    _, _, report = afftg_and_duals(E22, OneForm(Vec.of(1, -2)))
+    failed = [(r.name, r.witness) for r in report.records if r.status == "fail"]
+    assert failed == [("dual core is the model fiber", "dual core dim 3, model fiber dim 4")]
+
+
+def test_a_phase_set_is_built_once_per_kind_and_bundle():
+    for kind in (AFFCTG, PHASEP, BBL, CONTACT):
+        assert build(kind, E22) is build(kind, TrivialBispecial(2, 2))
+        assert build(kind, E22) == PhaseSet(E22, kind)
+        assert build(kind, E22) is not build(kind, E22.dual_bundle())
 
 
 def _same_point(got, want):
