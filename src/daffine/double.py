@@ -334,11 +334,6 @@ def flip(a: DoubleAffine) -> DoubleAffine:
     )
 
 
-def flip_point(p: DoublePoint) -> DoublePoint:
-    d = p.owner
-    return DoublePoint(DecomposedDouble(d.n2, d.n1, d.n3), p.z, p.y, p.c)
-
-
 def adjoint(a: DoubleAffine) -> DoubleAffine:
     """Same space, opposite marked core vector."""
     if a.sigma is None:
@@ -442,16 +437,6 @@ class DoubleMorphism:
     @staticmethod
     def identity(d: DecomposedDouble) -> "DoubleMorphism":
         return DoubleMorphism.linear(d, d, Mat.identity(d.n1), Mat.identity(d.n2), Mat.identity(d.n3))
-
-    @property
-    def is_linear(self) -> bool:
-        return (
-            self.alpha0.is_zero()
-            and self.beta0.is_zero()
-            and self.gamma00.is_zero()
-            and all(x == 0 for row in self.gamma_y.rows for x in row)
-            and all(x == 0 for row in self.gamma_z.rows for x in row)
-        )
 
     def apply(self, p: DoublePoint) -> DoublePoint:
         if p.owner != self.src:
@@ -572,30 +557,12 @@ class Witness:
     z: Optional[tuple]
     reason: str
 
-    def to_dict(self) -> dict:
-        return {
-            "y": None if self.y is None else [str(t) for t in self.y],
-            "z": None if self.z is None else [str(t) for t in self.z],
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
 class Classification:
     is_subbundle: bool
     witness: Optional[Witness]
     reason: str
-
-    @property
-    def kind(self) -> str:
-        return "subbundle" if self.is_subbundle else "not-subbundle"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "reason": self.reason,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-        }
 
 
 _SEARCH_VALUES = tuple(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -649,15 +650,28 @@ def _as_poly_block(kind: type, v: Value, m: int, ctx: str):
         raise DaffineError(f"{ctx}: expected {_SHAPES[kind]}") from None
 
 
+@contextmanager
+def _prefixed(ctx: str):
+    """Re-raise a library error with the block (or edge) it came from."""
+    try:
+        yield
+    except DaffineError as exc:
+        raise type(exc)(f"{ctx}: {exc}") from None
+
+
 def _elaborate_space(block: Block) -> NAffine:
     """The order-one bundle {alpha = 1} on a hull of one component, marked by
     the model vector v when there is one."""
     f = _Fields(block)
     hull_dim = _as_int(f.need("hull_dim"), f.ctx("hull_dim"))
     alpha = _as_vec(f.need("alpha"), f.ctx("alpha"))
+    ctx = f"space block '{block.name}'"
+    with _prefixed(ctx):
+        space = GradedSpace(1, {(1,): hull_dim})
     v = f.opt("v")
-    space = GradedSpace(1, {(1,): hull_dim})
-    return NAffine(space, (alpha,), None if v is None else _as_vec(v, f.ctx("v")))
+    v = None if v is None else _as_vec(v, f.ctx("v"))
+    with _prefixed(ctx):
+        return NAffine(space, (alpha,), v)
 
 
 def _elaborate_double(block: Block) -> DoubleBlock:
@@ -773,10 +787,8 @@ def _elaborate_atlas(block: Block) -> Atlas:
         if base_p.nrows != m or base_p.ncols != m or base_q.dim != m:
             raise DaffineError(f"{ctx}: base_p must be {m}x{m} and base_q must have {m} entries")
         blocks = {name: _as_poly_block(kind, data[name], m, field_ctx(name)) for name, kind in BLOCKS}
-        try:
+        with _prefixed(ctx):
             t = TransitionData(base_map=BaseMap(base_p, base_q), **blocks, samples=samples)
-        except DaffineError as exc:
-            raise type(exc)(f"{ctx}: {exc}") from None
         edges.append((src, dst, t))
     return Atlas(m, (n1, n2, n3), charts, tuple(edges))
 

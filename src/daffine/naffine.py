@@ -1,11 +1,9 @@
 """Higher-order affine level sets over multi-graded spaces.
 
 A space of order n is a direct sum of components indexed by nonzero 0/1
-degree vectors of length n.  Polynomial maps between such spaces respect the
-filtration when every target coordinate of degree ``mu`` only uses monomials
-of componentwise total degree at most ``mu``; together with invertible linear
-top blocks this reproduces, at order two, the fibre shape of the chart
-transitions in :mod:`daffine.atlas`.
+degree vectors of length n; a point carries one coordinate block per
+component.  Dropping a grading direction keeps the components that vanish in
+it, which is how the side bases below are formed.
 
 An n-fold affine bundle is cut out by one structure functional per grading
 direction, each at level one on its unit-degree component, optionally marked
@@ -28,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .double import (
     DecomposedDouble,
@@ -43,11 +41,10 @@ from .errors import (
     DaffineError,
     DimMismatch,
     NotSpecial,
-    SingularMatrix,
     SpaceMismatch,
     ZeroFunctional,
 )
-from .exact import Mat, Poly, Scalar, Vec
+from .exact import Scalar, Vec
 from .report import FAIL, PASS, CheckRecord, Report
 
 Degree = Tuple[int, ...]
@@ -128,23 +125,6 @@ class GradedSpace:
     def core_dim(self) -> int:
         return self.dim_of(self.core_degree)
 
-    def labels(self) -> Tuple[Tuple[Degree, int], ...]:
-        """Flat coordinate labels (degree, index) in component order."""
-        return tuple((deg, j) for deg, d in self.components for j in range(d))
-
-    def offset_of(self, degree: Iterable[int]) -> int:
-        """Flat offset of a component's first coordinate."""
-        deg = tuple(int(b) for b in degree)
-        off = 0
-        for d, dim in self.components:
-            if d == deg:
-                return off
-            off += dim
-        raise DimMismatch(f"no component of degree {deg}")
-
-    def var_degree(self, k: int) -> Degree:
-        return self.labels()[k][0]
-
     def point(self, assignments: Union[Mapping, Iterable] = ()) -> "GradedPoint":
         """A point from a degree -> coordinates mapping; missing blocks are zero."""
         items = assignments.items() if isinstance(assignments, Mapping) else assignments
@@ -159,16 +139,6 @@ class GradedSpace:
 
     def zero_point(self) -> "GradedPoint":
         return self.point()
-
-    def unflatten(self, values: Sequence[Scalar]) -> "GradedPoint":
-        vals = list(values)
-        if len(vals) != self.total_dim:
-            raise DimMismatch("flat coordinate count does not match the space")
-        blocks, off = [], 0
-        for _, d in self.components:
-            blocks.append(Vec(vals[off:off + d]))
-            off += d
-        return GradedPoint(self, tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -208,9 +178,6 @@ class GradedPoint:
             raise DimMismatch(f"no component of degree {deg}")
         return GradedPoint(self.space, tuple(out))
 
-    def flat(self) -> Vec:
-        return Vec(x for b in self.blocks for x in b)
-
 
 def drop_direction(space: GradedSpace, k: int) -> GradedSpace:
     """Forget direction k, keeping the components that vanish there."""
@@ -220,127 +187,6 @@ def drop_direction(space: GradedSpace, k: int) -> GradedSpace:
         raise DimMismatch("cannot drop the only grading direction")
     dims = {deg[:k] + deg[k + 1:]: d for deg, d in space.components if deg[k] == 0}
     return GradedSpace(space.n - 1, dims)
-
-
-def project(pt: GradedPoint, k: int) -> GradedPoint:
-    """Project a point onto the level space of direction k."""
-    sub = drop_direction(pt.space, k)
-    kept = {
-        deg[:k] + deg[k + 1:]: b
-        for (deg, _), b in zip(pt.space.components, pt.blocks)
-        if deg[k] == 0
-    }
-    return sub.point(kept)
-
-
-# ---------------------------------------------------------------------------
-# Filtration-compatible polynomial maps
-
-
-def _lift_poly(value, nvars: int) -> Poly:
-    if isinstance(value, Poly):
-        if value.nvars != nvars:
-            raise DimMismatch("polynomial has the wrong number of variables")
-        return value
-    return Poly.const(nvars, value)
-
-
-def _monomial_degree(space: GradedSpace, exps: Sequence[int]) -> Degree:
-    total = [0] * space.n
-    for k, e in enumerate(exps):
-        if not e:
-            continue
-        deg = space.var_degree(k)
-        for t in range(space.n):
-            total[t] += e * deg[t]
-    return tuple(total)
-
-
-def filtration_check(src: GradedSpace, polys: Sequence, dst: Optional[GradedSpace] = None) -> bool:
-    """Whether every target coordinate of degree mu uses only monomials of
-    componentwise degree at most mu."""
-    dst = src if dst is None else dst
-    if src.n != dst.n:
-        raise DimMismatch("source and target gradings have different orders")
-    rows = tuple(_lift_poly(p, src.total_dim) for p in polys)
-    if len(rows) != dst.total_dim:
-        raise DimMismatch("expected one polynomial per target coordinate")
-    for (bound, _), p in zip(dst.labels(), rows):
-        for exps, coeff in p.terms.items():
-            if not coeff:
-                continue
-            mdeg = _monomial_degree(src, exps)
-            if any(a > b for a, b in zip(mdeg, bound)):
-                return False
-    return True
-
-
-def _unit_exp(nvars: int, k: int) -> Tuple[int, ...]:
-    return tuple(1 if t == k else 0 for t in range(nvars))
-
-
-@dataclass(frozen=True)
-class FiltrationMorphism:
-    """A polynomial map respecting the filtration, with invertible linear top
-    blocks in every degree.
-
-    Rows of degree mu are affine in the degree-mu coordinates (anything else
-    would break the degree bound), so invertible top blocks make the map a
-    fibred change of coordinates; composites stay in the class.
-    """
-
-    src: GradedSpace
-    dst: GradedSpace
-    polys: Tuple[Poly, ...]
-
-    def __post_init__(self):
-        if self.src.n != self.dst.n:
-            raise DimMismatch("source and target gradings have different orders")
-        rows = tuple(_lift_poly(p, self.src.total_dim) for p in self.polys)
-        if len(rows) != self.dst.total_dim:
-            raise DimMismatch("expected one polynomial per target coordinate")
-        object.__setattr__(self, "polys", rows)
-        if not filtration_check(self.src, rows, self.dst):
-            raise ConstraintViolated("map sends a coordinate above its filtration degree")
-        for deg, d in self.dst.components:
-            if self.src.dim_of(deg) != d:
-                raise SingularMatrix(f"no square top block in degree {deg}")
-            if not self.top_block(deg).is_invertible():
-                raise SingularMatrix(f"linear top block in degree {deg} is singular")
-
-    def top_block(self, degree: Iterable[int]) -> Mat:
-        """The linear coefficient matrix of one degree onto itself."""
-        deg = tuple(int(b) for b in degree)
-        total = self.src.total_dim
-        cols = [k for k, (d, _) in enumerate(self.src.labels()) if d == deg]
-        rows = [k for k, (d, _) in enumerate(self.dst.labels()) if d == deg]
-        return Mat(
-            tuple(
-                tuple(self.polys[r].coefficient(_unit_exp(total, c)) for c in cols)
-                for r in rows
-            )
-        )
-
-    def apply(self, pt: GradedPoint) -> GradedPoint:
-        if pt.space != self.src:
-            raise SpaceMismatch("point does not live in the source space")
-        flat = tuple(pt.flat())
-        return self.dst.unflatten([p.eval(flat) for p in self.polys])
-
-    def then(self, other: "FiltrationMorphism") -> "FiltrationMorphism":
-        if other.src != self.dst:
-            raise SpaceMismatch("morphisms do not chain")
-        inner = list(self.polys)
-        return FiltrationMorphism(
-            self.src, other.dst, tuple(p.subst(inner) for p in other.polys)
-        )
-
-    @classmethod
-    def identity(cls, space: GradedSpace) -> "FiltrationMorphism":
-        total = space.total_dim
-        return cls(
-            space, space, tuple(Poly.variable(total, k) for k in range(total))
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,16 @@ The four standard sets::
 
 The dual bundle swaps the alpha and v slots (index 0 <-> index n+1), which
 is exactly what the momentum-flip map ``beta`` produces.
+
+Each double structure is read off a block form: :func:`to_double_point`
+sends a point of a set to its (y, z, c) blocks, whose side blocks are the two
+bundle projections, and :func:`from_double_point` inverts it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import FrozenSet, Optional, Tuple
@@ -337,37 +341,6 @@ def from_double_point(ps: PhaseSet, q: DoublePoint, x: Optional[Vec] = None) -> 
         core = q.c
     pi = _insert(q.z, b.alpha_index, 0)
     return ps.reduce(CotangentPoint(b, x, y, core, pi))
-
-
-def side1(ps: PhaseSet, w: ReducedCovector):
-    """First projection: base point and the y-side block."""
-    return w.point.x, to_double_point(ps, w).y
-
-
-def side2(ps: PhaseSet, w: ReducedCovector):
-    """Second projection: base point and the momentum-side block."""
-    return w.point.x, to_double_point(ps, w).z
-
-
-# ---------------------------------------------------------------------------
-# homogeneity structures
-# ---------------------------------------------------------------------------
-
-
-def h1(t, w):
-    """Scalar action of the fibration over E: scale all momenta."""
-    t = as_scalar(t)
-    if isinstance(w, ReducedCovector):
-        return ReducedCovector(h1(t, w.point), w.mask)
-    return replace(w, p=w.p.scale(t), pi=w.pi.scale(t))
-
-
-def h2(t, w):
-    """Scalar action of the other structure: scale y and the base momenta."""
-    t = as_scalar(t)
-    if isinstance(w, ReducedCovector):
-        return ReducedCovector(h2(t, w.point), w.mask)
-    return replace(w, y=w.y.scale(t), p=w.p.scale(t))
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,7 @@ def suite_naffine(objs: Dict[str, object], seed: int, trials: int) -> Report:
             return [CheckRecord("needs a marked section", SKIP, "graded block has no sigma")]
         return side_base_duality_report(a, seed=seed, trials=min(trials, 20)).records
 
-    return _per_block(_pick(objs, NAffine), "no graded blocks", records_of)
+    return _per_block(_pick(objs, NAffine), "no graded or space blocks", records_of)
 
 
 SUITES: Dict[str, Callable[[Dict[str, object], int, int], Report]] = {
@@ -582,7 +582,7 @@ def _build_graded(label: str, records_of_big: Callable, objs: Dict[str, object],
             return [CheckRecord(label, SKIP, "graded block has no sigma")]
         return records_of_big(bbl_n(a))
 
-    return _per_block(_pick(objs, NAffine), "no graded blocks", records_of)
+    return _per_block(_pick(objs, NAffine), "no graded or space blocks", records_of)
 
 
 def _big_bundle_records(big: NAffine) -> List[CheckRecord]:

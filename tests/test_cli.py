@@ -376,4 +376,4 @@ def test_an_invalid_space_block_exits_two(fields, tmp_path, capsys):
     assert cli.main(["verify", "--suite", "naffine", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: space block 'S': ") and captured.err.count("\n") == 1

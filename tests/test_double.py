@@ -19,7 +19,6 @@ from daffine.double import (
     classify_level_set,
     contains,
     flip,
-    flip_point,
     hd_eval,
     horizontal_dual,
     hull,
@@ -463,18 +462,6 @@ def test_flip_and_adjoint_are_involutions():
     assert adjoint(A232).sigma == -A232.sigma
 
 
-def test_flip_preserves_interchange():
-    rng = random.Random(59)
-    d = DecomposedDouble(2, 3, 2)
-    for _ in range(20):
-        x11, x12, x21, x22 = _interchange_square(rng, d)
-        lam, mu = rand_frac(rng), rand_frac(rng)
-        lhs, rhs = interchange_sides(
-            flip_point(x11), flip_point(x21), flip_point(x12), flip_point(x22), lam, mu
-        )
-        assert lhs == rhs
-
-
 def rand_morphism(rng, src: DecomposedDouble, dst: DecomposedDouble) -> DoubleMorphism:
     mat = lambda r, c: Mat([[rand_frac(rng) for _ in range(c)] for _ in range(r)])
     bil = Bilinear(
@@ -555,11 +542,11 @@ def test_hvh_data_cycle_names():
 def test_hvh_iso_shape_and_sign():
     iso = hvh_iso(A232)
     n1, n2, n3 = D232.dims
-    assert iso.is_linear
-    assert iso.alpha == Mat.identity(n2)
-    assert iso.beta == Mat.identity(n1)
-    assert iso.sigma == -Mat.identity(n3)
+    ahvh = hvh_chain(A232)[2]
     target = adjoint(flip(A232))
+    assert iso == DoubleMorphism.linear(
+        ahvh.space, target.space, Mat.identity(n2), Mat.identity(n1), -Mat.identity(n3)
+    )
     assert iso.sigma @ A232.sigma == target.sigma
 
 

@@ -1,6 +1,7 @@
 """Parsing, canonical printing, and elaboration of bundle documents."""
 
 import random
+import re
 import sys
 import time
 from fractions import Fraction as F
@@ -30,6 +31,7 @@ from daffine.dsl import (
 )
 from daffine.errors import (
     DaffineError,
+    DimMismatch,
     DuplicateName,
     ParseError,
     UnresolvedReference,
@@ -464,14 +466,28 @@ def test_print_then_parse_is_identity():
     assert print_document(parse(text)) == text
 
 
+# Fixtures that parse but do not elaborate, with the error each raises.
+ELABORATION_ERRORS = {
+    "atlas_bad_block.daff": (
+        DaffineError,
+        "atlas block 'flat' edge a->b, field 'gamma_yz': expected layers of matrices",
+    ),
+    "space_bad_block.daff": (
+        DimMismatch,
+        "space block 'short': functional 1 must live on the degree (1,) component",
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "path", sorted(p.name for p in FIXTURES.glob("*.daff") if p.name != "parse_error.daff")
 )
 def test_fixture_round_trips(path):
     doc = parse((FIXTURES / path).read_text())
     assert parse(print_document(doc)) == doc
-    if path == "atlas_bad_block.daff":  # it parses; its flat bilinear block does not elaborate
-        with pytest.raises(DaffineError, match="expected layers of matrices"):
+    if path in ELABORATION_ERRORS:
+        error, message = ELABORATION_ERRORS[path]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             elaborate(doc)
     else:
         elaborate(doc)

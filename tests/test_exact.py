@@ -20,7 +20,7 @@ from daffine.exact import (
     format_scalar,
 )
 from daffine.exact import linalg, tensor
-from daffine.phase import TrivialBispecial, chi, h1, iota
+from daffine.phase import TrivialBispecial, chi, iota
 from daffine.randgen import rand_cotangent
 
 rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
@@ -284,7 +284,6 @@ _ENTRY_POINTS = [
     ("classify_level_set", lambda x: classify_level_set(_D, [[x, 0, 0, 0, 1, 0]]), ("str",)),
     ("block_from_double", lambda x: dsl.block_from_double("A", _D, constraints=[[x, 0, 0, 0, 1, 0]]), ("str",)),
     ("chi", lambda x: chi(x, 0, _COTANGENT), ("str",)),
-    ("h1", lambda x: h1(x, _COTANGENT), ("str",)),
     # model data that reached a vector unchecked
     ("iota", lambda x: iota(_BUNDLE, Vec.of(1), Vec._trusted((x,)), Vec.of(1), Vec.of(2)), ("str",)),
 ]

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from daffine.atlas import apply_transition, as_double_morphism
 from daffine.double import (
     DecomposedDouble,
     DoubleAffine,
@@ -19,22 +18,18 @@ from daffine.errors import (
     DaffineError,
     DimMismatch,
     NotSpecial,
-    SingularMatrix,
     SpaceMismatch,
     ZeroFunctional,
 )
-from daffine.exact import Poly, Vec
+from daffine.exact import Vec
 from daffine.naffine import (
-    FiltrationMorphism,
     GradedSpace,
     NAffine,
     bbl_n,
     core_translate,
     cotangent_space,
     drop_direction,
-    filtration_check,
     momentum_degree,
-    project,
     restrict_double,
     side_base_duality_report,
     side_bases,
@@ -42,8 +37,6 @@ from daffine.naffine import (
 )
 from daffine.phase import TrivialBispecial, bbl_double_affine
 from daffine.randgen import rand_dual_pair, rand_graded_member
-
-from test_atlas import rand_transition
 
 
 def rand_frac(rng):
@@ -90,57 +83,6 @@ def rand_naffine(rng, n, maxdim=2, special=True):
     return NAffine(space, funcs, sigma)
 
 
-def gvar(total, k):
-    return Poly.variable(total, k)
-
-
-def graded_fiber_map(t, x):
-    """The fibre polynomials of a chart transition at a frozen base point,
-    written over the order-two graded space spanned by (y, z, c)."""
-    n1, n2, n3 = t.fiber_dims
-    space = GradedSpace(2, {(1, 0): n1, (0, 1): n2, (1, 1): n3})
-    total = space.total_dim
-    yv = [gvar(total, space.offset_of((1, 0)) + i) for i in range(n1)]
-    zv = [gvar(total, space.offset_of((0, 1)) + b) for b in range(n2)]
-    cv = [gvar(total, space.offset_of((1, 1)) + w) for w in range(n3)]
-    f = as_double_morphism(t, x)
-    a0, A = f.alpha0, f.alpha
-    b0, B = f.beta0, f.beta
-    g0 = f.gamma00
-    Gy, Gz = f.gamma_y, f.gamma_z
-    Gyz, S = f.gamma_yz, f.sigma
-
-    y_rows = []
-    for i in range(n1):
-        p = Poly.const(total, a0[i])
-        for j in range(n1):
-            p = p + A[i, j] * yv[j]
-        y_rows.append(p)
-    z_rows = []
-    for b in range(n2):
-        p = Poly.const(total, b0[b])
-        for c in range(n2):
-            p = p + B[b, c] * zv[c]
-        z_rows.append(p)
-    c_rows = []
-    for u in range(n3):
-        p = Poly.const(total, g0[u])
-        for i in range(n1):
-            p = p + Gy[u, i] * yv[i]
-        for b in range(n2):
-            p = p + Gz[u, b] * zv[b]
-        for i in range(n1):
-            for b in range(n2):
-                p = p + Gyz[u, i, b] * (yv[i] * zv[b])
-        for w in range(n3):
-            p = p + S[u, w] * cv[w]
-        c_rows.append(p)
-
-    by_degree = {(1, 0): y_rows, (0, 1): z_rows, (1, 1): c_rows}
-    rows = [p for deg, _ in space.components for p in by_degree[deg]]
-    return space, tuple(rows)
-
-
 # ---------------------------------------------------------------------------
 # Graded spaces and points
 
@@ -150,8 +92,7 @@ def test_space_components_sorted_and_pruned():
     assert space.components == (((0, 1), 3), ((1, 1), 2))
     assert space.total_dim == 5
     assert space.dim_of((1, 0)) == 0 and not space.has((1, 0))
-    assert space.labels()[0] == ((0, 1), 0)
-    assert space.offset_of((1, 1)) == 3
+    assert space.degrees() == ((0, 1), (1, 1))
     assert space.core_dim == 2
 
 
@@ -171,8 +112,7 @@ def test_point_blocks_and_flattening():
     pt = space.point({(1, 0): (1, 2), (1, 1): (3, 4)})
     assert pt.block((0, 1)) == Vec.zero(1)
     assert pt.block((1, 0)) == Vec((1, 2))
-    assert pt.flat() == Vec((0, 1, 2, 3, 4))
-    assert space.unflatten(pt.flat()) == pt
+    assert pt.blocks == (Vec((0,)), Vec((1, 2)), Vec((3, 4)))
     moved = pt.with_block((0, 1), (7,))
     assert moved.block((0, 1)) == Vec((7,))
     with pytest.raises(DimMismatch):
@@ -184,96 +124,12 @@ def test_point_blocks_and_flattening():
 def test_project_drops_one_direction():
     space = GradedSpace(2, {(1, 0): 2, (0, 1): 1, (1, 1): 2})
     pt = space.point({(1, 0): (1, 2), (0, 1): (5,), (1, 1): (3, 4)})
-    p0 = project(pt, 0)
-    assert p0.space == GradedSpace(1, {(1,): 1})
-    assert p0.block((1,)) == Vec((5,))
+    sub = drop_direction(space, 0)
+    assert sub == GradedSpace(1, {(1,): 1})
+    assert sub.point({(1,): pt.block((0, 1))}).block((1,)) == Vec((5,))
     assert drop_direction(space, 1) == GradedSpace(1, {(1,): 2})
     with pytest.raises(DimMismatch):
         drop_direction(GradedSpace(1, {(1,): 2}), 0)
-
-
-# ---------------------------------------------------------------------------
-# Filtration checks and morphisms
-
-
-@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 1, 2, 2)])
-def test_transition_fibers_respect_filtration(dims):
-    rng = random.Random(sum(dims))
-    m, n1, n2, n3 = dims
-    t = rand_transition(rng, m, n1, n2, n3)
-    x = t.samples[0]
-    space, rows = graded_fiber_map(t, x)
-    assert filtration_check(space, rows)
-    fm = FiltrationMorphism(space, space, rows)
-    y, z, c = rand_vec(rng, n1), rand_vec(rng, n2), rand_vec(rng, n3)
-    _, y2, z2, c2 = apply_transition(t, x, y, z, c)
-    image = fm.apply(space.point({(1, 0): y, (0, 1): z, (1, 1): c}))
-    assert image.block((1, 0)) == y2
-    assert image.block((0, 1)) == z2
-    assert image.block((1, 1)) == c2
-
-
-def test_filtration_rejects_degree_violations():
-    rng = random.Random(2)
-    t = rand_transition(rng, 1, 1, 1, 1)
-    space, rows = graded_fiber_map(t, t.samples[0])
-    total = space.total_dim
-    oy, oc = space.offset_of((1, 0)), space.offset_of((1, 1))
-    ysq = Poly(total, {tuple(2 if k == oy else 0 for k in range(total)): F(1)})
-    bad = list(rows)
-    bad[oc] = bad[oc] + ysq  # degree (2, 0) exceeds the (1, 1) bound
-    assert not filtration_check(space, bad)
-    bad = list(rows)
-    bad[oy] = bad[oy] + gvar(total, oc)  # a core coordinate in a side row
-    assert not filtration_check(space, bad)
-
-
-def test_morphism_rejects_filtration_break():
-    space = GradedSpace(2, {(1, 0): 1, (0, 1): 1})
-    z, y = gvar(2, 0), gvar(2, 1)
-    with pytest.raises(ConstraintViolated):
-        FiltrationMorphism(space, space, (z, y + z))
-
-
-def test_morphism_rejects_singular_top_block():
-    space = GradedSpace(2, {(1, 0): 1, (0, 1): 1})
-    with pytest.raises(SingularMatrix):
-        FiltrationMorphism(space, space, (gvar(2, 0), Poly.const(2, 5)))
-
-
-def test_morphism_rejects_mismatched_components():
-    src = GradedSpace(2, {(1, 0): 2, (0, 1): 1})
-    dst = GradedSpace(2, {(1, 0): 1, (0, 1): 2})
-    rows = (gvar(3, 0), gvar(3, 0), gvar(3, 1))
-    with pytest.raises(SingularMatrix):
-        FiltrationMorphism(src, dst, rows)
-
-
-def test_morphism_composition_matches_pointwise():
-    rng = random.Random(3)
-    t1 = rand_transition(rng, 2, 2, 1, 2)
-    t2 = rand_transition(rng, 2, 2, 1, 2)
-    x = t1.samples[0]
-    space, rows1 = graded_fiber_map(t1, x)
-    _, rows2 = graded_fiber_map(t2, x)
-    f = FiltrationMorphism(space, space, rows1)
-    g = FiltrationMorphism(space, space, rows2)
-    fg = f.then(g)
-    for _ in range(5):
-        pt = space.unflatten([rand_frac(rng) for _ in range(space.total_dim)])
-        assert fg.apply(pt) == g.apply(f.apply(pt))
-    ident = FiltrationMorphism.identity(space)
-    assert ident.then(f).polys == f.polys
-    assert f.then(ident).polys == f.polys
-    assert ident.apply(pt) == pt
-
-
-def test_morphism_rejects_wrong_space_point():
-    space = GradedSpace(2, {(1, 0): 1, (0, 1): 1})
-    other = GradedSpace(2, {(1, 0): 1, (0, 1): 2})
-    f = FiltrationMorphism.identity(space)
-    with pytest.raises(SpaceMismatch):
-        f.apply(other.zero_point())
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +176,9 @@ def test_core_translate_preserves_levels_in_higher_order():
             moved = core_translate(pt, delta)
             assert a.contains(moved)
             for k in range(n):
-                assert project(moved, k) == project(pt, k)
+                for deg in a.space.degrees():
+                    if deg[k] == 0:
+                        assert moved.block(deg) == pt.block(deg)
 
 
 def test_core_translate_order_one_needs_model_direction():
@@ -492,15 +350,15 @@ def test_the_special_dual_taken_twice_is_the_identity(a):
 def test_dual_points_step_by_one_along_the_marked_vector(a, seed, t):
     rng = random.Random(seed)
     dual = special_dual(a)
-    f = rand_graded_member(rng, dual).flat()  # f(v) = 1
-    x = rand_graded_member(rng, a).flat()
+    f = rand_graded_member(rng, dual).block((1,))  # f(v) = 1
+    x = rand_graded_member(rng, a).block((1,))
     assert f.dot(a.sigma) == 1
     assert f.dot(x + a.sigma.scale(t)) == f.dot(x) + t
 
 
 @given(special_spaces(), st.integers(0, 2**32 - 1))
 def test_the_dual_marked_vector_is_constant_one_on_the_space(a, seed):
-    x = rand_graded_member(random.Random(seed), a).flat()
+    x = rand_graded_member(random.Random(seed), a).block((1,))
     assert special_dual(a).sigma == a.functionals[0]
     assert special_dual(a).sigma.dot(x) == 1
 

@@ -37,8 +37,6 @@ from daffine.phase import (
     contact_double_affine,
     contact_tangent_pairing,
     from_double_point,
-    h1,
-    h2,
     iota,
     iota_inverse,
     is_adapted,
@@ -429,32 +427,6 @@ def test_kappa_commutes_with_the_phase_projections():
     below = phase_kappa(phasep.reduce(c))
     above = build(PHASEP, E22.dual_bundle()).reduce(kappa(c))
     assert below == above
-
-
-# ---------------------------------------------------------------------------
-# homogeneity structures
-# ---------------------------------------------------------------------------
-
-
-def test_scalar_actions_commute_and_compose():
-    rng = random.Random(19)
-    w = rand_cotangent(rng, E22)
-    s, t = Fraction(3, 2), Fraction(-5)
-    assert h1(s, h1(t, w)) == h1(s * t, w)
-    assert h2(s, h2(t, w)) == h2(s * t, w)
-    assert h1(s, h2(t, w)) == h2(t, h1(s, w))
-    assert h1(1, w) == w and h2(1, w) == w
-
-
-def test_scalar_actions_descend_through_masks():
-    rng = random.Random(20)
-    t = Fraction(7, 4)
-    for kind in (AFFCTG, CONTACT):
-        mask = build(kind, E22).mask
-        pt = rand_cotangent(rng, E22)
-        w = ReducedCovector(pt, mask)
-        assert ReducedCovector(h1(t, pt), mask) == h1(t, w)
-        assert ReducedCovector(h2(t, pt), mask) == h2(t, w)
 
 
 # ---------------------------------------------------------------------------
