@@ -283,7 +283,8 @@ class Mat:
     """An immutable matrix stored as a tuple of row tuples.
 
     The private slot ``_inv`` holds the inverse once ``inverse`` has found
-    one; equality, hashing and ``repr`` read ``rows`` alone.
+    one, or ``_trusted`` was given it; equality, hashing and ``repr`` read
+    ``rows`` alone.
     """
 
     __slots__ = ("rows", "_inv")
@@ -295,11 +296,15 @@ class Mat:
         object.__setattr__(self, "rows", rs)
 
     @classmethod
-    def _trusted(cls, rows: tuple) -> "Mat":
+    def _trusted(cls, rows: tuple, inverse: "Mat" = None) -> "Mat":
         """Wrap a tuple of equal-length row tuples without the exactness
-        check, as ``Vec._trusted`` does."""
+        check, as ``Vec._trusted`` does.  A caller that built the matrix's
+        inverse alongside it passes it as ``inverse``, which ``inverse()``
+        then returns without an elimination."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
+        if inverse is not None:
+            object.__setattr__(m, "_inv", inverse)
         return m
 
     def __setattr__(self, *args):  # pragma: no cover - defensive

@@ -50,9 +50,15 @@ from .report import FAIL, PASS, CheckRecord, Report
 Degree = Tuple[int, ...]
 
 
-def _as_degree(n: int, value: Iterable[int]) -> Degree:
+def _degree_bits(value: Iterable[int]) -> Degree:
+    """The degree as a tuple, each bit refused unless it is an ``int``."""
     deg = tuple(value)
     require_ints("degree bit", deg)
+    return deg
+
+
+def _as_degree(n: int, value: Iterable[int]) -> Degree:
+    deg = _degree_bits(value)
     if len(deg) != n:
         raise DimMismatch(f"degree {deg} does not have {n} entries")
     if any(b not in (0, 1) for b in deg):
@@ -104,7 +110,7 @@ class GradedSpace:
         return tuple(deg for deg, _ in self.components)
 
     def dim_of(self, degree: Iterable[int]) -> int:
-        deg = tuple(int(b) for b in degree)
+        deg = _degree_bits(degree)
         for d, dim in self.components:
             if d == deg:
                 return dim
@@ -157,14 +163,14 @@ class GradedPoint:
         object.__setattr__(self, "blocks", blocks)
 
     def block(self, degree: Iterable[int]) -> Vec:
-        deg = tuple(int(b) for b in degree)
+        deg = _degree_bits(degree)
         for (d, _), b in zip(self.space.components, self.blocks):
             if d == deg:
                 return b
         raise DimMismatch(f"no component of degree {deg}")
 
     def with_block(self, degree: Iterable[int], values) -> "GradedPoint":
-        deg = tuple(int(b) for b in degree)
+        deg = _degree_bits(degree)
         vec = values if isinstance(values, Vec) else Vec(values)
         out = []
         found = False

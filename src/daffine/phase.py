@@ -25,6 +25,12 @@ is exactly what the momentum-flip map ``beta`` produces.
 Each double structure is read off a block form: :func:`to_double_point`
 sends a point of a set to its (y, z, c) blocks, whose side blocks are the two
 bundle projections, and :func:`from_double_point` inverts it.
+
+``CotangentPoint._trusted`` and ``ReducedCovector._trusted`` wrap parts
+without the checks of the public constructors.  They serve parts that already
+fit: slots computed from a point of the same bundle, and the members that
+``randgen.rand_member`` draws with the set's constraints and masked zeros
+already written in.
 """
 
 from __future__ import annotations
@@ -155,8 +161,10 @@ class ReducedCovector:
     mask: FrozenSet[Slot] = frozenset()
 
     def __post_init__(self):
-        mask = frozenset(self.mask)
-        object.__setattr__(self, "mask", mask)
+        mask = self.mask
+        if type(mask) is not frozenset:
+            mask = frozenset(mask)
+            object.__setattr__(self, "mask", mask)
         p = self.point
         for kind, i in mask:
             e = (p.y if kind == "y" else p.pi).entries
@@ -164,9 +172,20 @@ class ReducedCovector:
                 break
         else:
             return  # every masked slot already holds Fraction(0)
-        y = p.y.replaced({i: ZERO for kind, i in mask if kind == "y"})
-        pi = p.pi.replaced({i: ZERO for kind, i in mask if kind != "y"})
+        y_slots = {i: ZERO for kind, i in mask if kind == "y"}
+        pi_slots = {i: ZERO for kind, i in mask if kind != "y"}
+        y = p.y.replaced(y_slots) if y_slots else p.y
+        pi = p.pi.replaced(pi_slots) if pi_slots else p.pi
         object.__setattr__(self, "point", CotangentPoint._trusted(p.bundle, p.x, y, p.p, pi))
+
+    @classmethod
+    def _trusted(cls, point: CotangentPoint, mask: FrozenSet[Slot]) -> "ReducedCovector":
+        """Wrap a representative without the canonical-form pass: ``mask``
+        must be a frozenset and every masked slot of ``point`` must already
+        hold ``Fraction(0)``, as ``randgen.rand_member`` builds them."""
+        w = object.__new__(cls)
+        w.__dict__.update(point=point, mask=mask)  # past the frozen __setattr__
+        return w
 
     @property
     def bundle(self) -> TrivialBispecial:
@@ -221,9 +240,11 @@ class PhaseSet:
         object.__setattr__(self, "constraints", constraints)
 
     def contains(self, w: ReducedCovector) -> bool:
+        # identity first: a point of a set built through ``build`` shares its
+        # bundle and mask objects
         return (
-            w.bundle == self.bundle
-            and w.mask == self.mask
+            (w.bundle is self.bundle or w.bundle == self.bundle)
+            and (w.mask is self.mask or w.mask == self.mask)
             and all(w.point.slot(s) == v for s, v in self.constraints)
         )
 
@@ -274,6 +295,9 @@ def side_functionals(bundle: TrivialBispecial) -> Tuple[Vec, Vec]:
     return l1, l2
 
 
+# The three block spaces are memoised per bundle, as ``build`` is: the block
+# form of every point asks for one.
+@cache
 def affctg_double(bundle: TrivialBispecial) -> DecomposedDouble:
     h, m = bundle.hull_dim, bundle.base_dim
     return DecomposedDouble(h - 1, h - 1, m)
@@ -285,6 +309,7 @@ def phasep_double_affine(bundle: TrivialBispecial, omega=None) -> DoubleAffine:
     return DoubleAffine(affctg_double(bundle), l1, l2, sigma)
 
 
+@cache
 def bbl_double(bundle: TrivialBispecial) -> DecomposedDouble:
     h, m = bundle.hull_dim, bundle.base_dim
     return DecomposedDouble(h, h, m)
@@ -297,6 +322,7 @@ def bbl_double_affine(bundle: TrivialBispecial) -> DoubleAffine:
     )
 
 
+@cache
 def contact_double(bundle: TrivialBispecial) -> DecomposedDouble:
     h, m = bundle.hull_dim, bundle.base_dim
     return DecomposedDouble(h - 1, h - 1, m + 1)
@@ -405,9 +431,13 @@ def _fixes_normal_form(bundle: TrivialBispecial, mat: Mat) -> bool:
     if mat.shape != (h, h):
         return False
     va, al = bundle.v_index, bundle.alpha_index
-    row_ok = all(mat[va, j] == (1 if j == va else 0) for j in range(h))
-    col_ok = all(mat[i, al] == (1 if i == al else 0) for i in range(h))
-    return row_ok and col_ok
+    rows = mat.rows
+    return rows[va] == _unit_row(h, va) and tuple(r[al] for r in rows) == _unit_row(h, al)
+
+
+@cache
+def _unit_row(h: int, i: int) -> tuple:
+    return Vec.unit(h, i).entries
 
 
 def is_adapted(bundle: TrivialBispecial, mat: Mat) -> bool:

@@ -2,6 +2,14 @@
 
 Everything takes an explicit ``random.Random`` so reports stay bit-identical
 for a given seed.  Entries are small rationals to keep exact arithmetic fast.
+
+The cotangent-tower draws build each object once, through the trusted
+constructors: ``rand_member`` writes a phase set's constraints and masked
+zeros into the drawn entries before it wraps them, so it neither rebuilds
+nor re-checks the member; ``rand_adapted`` builds the inverse of its shears
+alongside the matrix and hands it over, so ``Mat.inverse`` runs no
+elimination.  Both give the values, and leave the stream where, the public
+constructions would.
 """
 
 from __future__ import annotations
@@ -205,24 +213,50 @@ def rand_cotangent(rng: random.Random, bundle: TrivialBispecial) -> CotangentPoi
 
 def rand_member(rng: random.Random, ps: PhaseSet) -> ReducedCovector:
     """A random member of a phase set: a cotangent point with the set's
-    constraints imposed, then reduced."""
-    pt = rand_cotangent(rng, ps.bundle)
-    for slot, value in ps.constraints:
-        pt = pt.with_slot(slot, value)
-    return ps.reduce(pt)
+    constraints imposed, then reduced.
+
+    The draws are ``rand_cotangent``'s, in its order (x, y, p, pi).  The
+    constraint slots and the masked ``ZERO``s are written into the drawn
+    lists, and each part is wrapped once through the trusted constructors,
+    so the member equals ``ps.reduce`` of the constrained point without the
+    rebuilds and checks that path makes.
+    """
+    b = ps.bundle
+    m, h = b.base_dim, b.hull_dim
+    x, y, p, pi = ([rand_frac(rng) for _ in range(d)] for d in (m, h, m, h))
+    parts = {"y": y, "pi": pi}
+    for (kind, i), value in ps.constraints:
+        parts[kind][i] = value
+    for kind, i in ps.mask:
+        parts[kind][i] = ZERO
+    point = CotangentPoint._trusted(b, *(Vec._trusted(tuple(e)) for e in (x, y, p, pi)))
+    return ReducedCovector._trusted(point, ps.mask)
 
 
 def rand_adapted(rng: random.Random, bundle: TrivialBispecial) -> Mat:
-    """A random basis change preserving the marked vector and functional."""
+    """A random basis change preserving the marked vector and functional.
+
+    It is the identity times up to five shears ``I + c E_ij``; its inverse,
+    the inverse shears in reverse order, is built alongside and handed to
+    the matrix, so ``inverse()`` needs no elimination.
+    """
     h = bundle.hull_dim
     va, al = bundle.v_index, bundle.alpha_index
     m = [list(r) for r in Mat.identity(h).rows]
+    inv = [list(r) for r in Mat.identity(h).rows]
     for _ in range(5):
         i = rng.randrange(h)
         j = rng.randrange(h)
         if i == j or i == va or j == al:
             continue
         c = rand_frac(rng)
-        for r in m:  # m @ (identity + c at (i, j)): column j gains c * column i
-            r[j] += c * r[i]
-    return Mat(m)
+        if not c:
+            continue
+        for r in m:  # m @ (I + c E_ij): column j gains c * column i
+            if r[i]:
+                r[j] += c * r[i]
+        row_i, row_j = inv[i], inv[j]
+        for k, e in enumerate(row_j):  # (I - c E_ij) @ inv: row i loses c * row j
+            if e:
+                row_i[k] -= c * e
+    return Mat._trusted(tuple(map(tuple, m)), inverse=Mat._trusted(tuple(map(tuple, inv))))

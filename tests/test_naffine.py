@@ -107,6 +107,20 @@ def test_space_rejects_bad_degrees():
         GradedSpace(2, [((1, 0), 1), ((1, 0), 2)])
 
 
+def test_a_degree_bit_that_is_not_an_int_is_refused_not_truncated():
+    space = GradedSpace(2, {(1, 0): 2, (0, 1): 1})
+    pt = space.point({(1, 0): (1, 2)})
+    for read in (
+        lambda: space.dim_of((1.9, 0)),
+        lambda: space.has((1, F(0))),
+        lambda: pt.block((1.5, 0)),
+        lambda: pt.with_block((True, 0), (3, 4)),
+    ):
+        with pytest.raises(DimMismatch, match="degree bit .* is not an int"):
+            read()
+    assert space.dim_of((1, 0)) == 2 and pt.block([1, 0]) == Vec((1, 2))
+
+
 def test_point_blocks_and_flattening():
     space = GradedSpace(2, {(1, 0): 2, (0, 1): 1, (1, 1): 2})
     pt = space.point({(1, 0): (1, 2), (1, 1): (3, 4)})

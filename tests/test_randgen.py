@@ -15,7 +15,17 @@ from fractions import Fraction
 import pytest
 
 from daffine.exact import Mat, Vec
-from daffine.phase import AFFCTG, BBL, CONTACT, PHASEP, CotangentPoint, PhaseSet, ReducedCovector, TrivialBispecial
+from daffine.phase import (
+    AFFCTG,
+    BBL,
+    CONTACT,
+    PHASEP,
+    CotangentPoint,
+    PhaseSet,
+    ReducedCovector,
+    TrivialBispecial,
+    is_adapted,
+)
 from daffine.errors import DimMismatch
 from daffine.randgen import point_on, rand_adapted, rand_cotangent, rand_frac, rand_int_vec, rand_member, rand_vec
 
@@ -147,3 +157,32 @@ def test_out_of_range_slot_is_a_dim_mismatch(slot):
         pt.with_slot(slot, Fraction(1))
     with pytest.raises(DimMismatch):
         ReducedCovector(pt, frozenset({slot}))
+
+
+def _public_member(rng, ps):
+    """``rand_member`` through the public path: the drawn cotangent point,
+    each constraint imposed through ``with_slot``, then ``ps.reduce``."""
+    pt = rand_cotangent(rng, ps.bundle)
+    for slot, value in ps.constraints:
+        pt = pt.with_slot(slot, value)
+    return ps.reduce(pt)
+
+
+@pytest.mark.parametrize("dual_form", [False, True])
+@pytest.mark.parametrize("kind", [AFFCTG, PHASEP, BBL, CONTACT])
+def test_built_once_member_is_the_public_construction(kind, dual_form):
+    ps = PhaseSet(TrivialBispecial(2, 1, dual_form), kind)
+    for seed in range(200):
+        rng, public = _pair(seed)
+        w = rand_member(rng, ps)
+        _same(w, _public_member(public, ps))
+        assert ps.contains(w)
+        assert rng.getstate() == public.getstate()
+
+
+@pytest.mark.parametrize("bundle", BUNDLES)
+def test_built_once_adapted_change_carries_its_inverse(bundle):
+    for seed in range(200):
+        mat = rand_adapted(random.Random(seed), bundle)
+        assert mat.inverse() == Mat(mat.rows).inverse()
+        assert is_adapted(bundle, mat)

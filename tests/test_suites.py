@@ -9,12 +9,15 @@ stay what they are.
 
 import dataclasses
 import itertools
+import os
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from daffine import cli, suites
+from daffine import cli, dsl, suites
+from daffine.errors import ConstraintViolated, DaffineError
 from daffine.phase import chi
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -265,3 +268,152 @@ def test_a_broken_law_reports_its_failed_trials_and_first_witness(case, monkeypa
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == expected
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# the split runner: every chunking gives the one-CPU report
+# ---------------------------------------------------------------------------
+
+SAMPLED_SUITES = ("interchange", "model-hull", "duality-pairing", "phase-tower", "tau-kappa")
+SAMPLED_FIXTURES = (
+    "minimal.daff",
+    "special_double.daff",
+    "bundle_tower.daff",
+    "constraints_plane.daff",
+    "constraints_hyperbola.daff",
+)
+SPLIT_TRIALS = (1, 49, 50, 100, 101, 257)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _rendered(fixture, suite, trials, cpus, monkeypatch):
+    monkeypatch.setattr(suites, "_cpus", lambda: cpus)
+    doc = dsl.parse((FIXTURES / fixture).read_text())
+    report = suites.run(doc, f"verify:{suite}", seed=3, trials=trials)
+    return report.to_text(), report.to_json()
+
+
+@pytest.mark.parametrize("suite", SAMPLED_SUITES)
+@pytest.mark.parametrize("fixture", SAMPLED_FIXTURES)
+def test_split_trials_give_the_one_cpu_report(fixture, suite, monkeypatch):
+    for trials in SPLIT_TRIALS:
+        serial = _rendered(fixture, suite, trials, 1, monkeypatch)
+        for cpus in (2, 3):
+            assert _rendered(fixture, suite, trials, cpus, monkeypatch) == serial, (trials, cpus)
+    _no_child_left()
+
+
+def test_a_process_with_other_threads_plays_every_trial_itself():
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    worker.start()
+    try:
+        assert suites._cpus() == 1
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+
+
+def _from_trial(name, wrong, start):
+    """``suites.<name>`` with its value replaced by ``wrong(value, *args)``
+    in the trials numbered ``start`` and later.  The trial number is the one
+    ``_trial_rng`` was last asked for in this process, so the mutant acts
+    alike in the caller and in a forked child."""
+    original_rng, original = suites._trial_rng, getattr(suites, name)
+    current = [0]
+
+    def trial_rng(seed, i):
+        current[0] = i
+        return original_rng(seed, i)
+
+    def mutant(*args):
+        value = original(*args)
+        return wrong(value, current[0], *args) if current[0] >= start else value
+
+    return {"_trial_rng": trial_rng, name: mutant}
+
+
+def _verify(suite, fixture, trials, cpus, patches, monkeypatch, capsys):
+    monkeypatch.setattr(suites, "_cpus", lambda: cpus)
+    for name, value in patches.items():
+        monkeypatch.setattr(suites, name, value)
+    code = cli.main(["verify", "--suite", suite, "--trials", str(trials), str(FIXTURES / fixture)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _raise_from(start, error=ConstraintViolated):
+    def wrong(value, i, *args):
+        raise error(f"raised in trial {i}")
+
+    return _from_trial("tau", wrong, start)
+
+
+# (cpus, trials) that put trial 60 in the first child: chunks 0-49 and 50-99,
+# or 0-49, 50-99 and 100-149, where trials from 100 on fail or raise too
+LATE_SPLITS = [(2, 100), (3, 150)]
+
+
+@pytest.mark.parametrize("cpus, trials", LATE_SPLITS)
+def test_a_law_failing_in_late_trials_keeps_its_count_and_first_witness(cpus, trials, monkeypatch, capsys):
+    # from trial 60 on, the interchange law breaks on the draws with lam > 0
+    patches = _from_trial("interchange_sides", lambda v, i, *a: (v[0], None) if a[4] > 0 else v, 60)
+    serial = _verify("interchange", "special_double.daff", trials, 1, patches, monkeypatch, capsys)
+    split = _verify("interchange", "special_double.daff", trials, cpus, patches, monkeypatch, capsys)
+    assert split == serial
+    fails = [line for line in serial[1].splitlines() if line.startswith("FAIL")]
+    # of trials 60-99, 18 (bare) and 13 (wide) draw lam > 0; of trials
+    # 60-149, 40 and 39; the first of each is trial 60
+    counts = {100: (18, 13), 150: (40, 39)}[trials]
+    assert fails == [
+        f"FAIL bare: interchange law [seed 0] -- {counts[0]}/{trials} trials failed; first: orders disagree at lam=3/2, mu=2",
+        f"FAIL wide: interchange law [seed 0] -- {counts[1]}/{trials} trials failed; first: orders disagree at lam=3, mu=-1",
+        "FAILED (5 checks)",
+    ]
+    assert serial[0] == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus, trials", LATE_SPLITS)
+def test_a_raise_in_late_trials_is_the_earliest_one(cpus, trials, monkeypatch, capsys):
+    serial = _verify("tau-kappa", "bundle_tower.daff", trials, 1, _raise_from(60), monkeypatch, capsys)
+    split = _verify("tau-kappa", "bundle_tower.daff", trials, cpus, _raise_from(60), monkeypatch, capsys)
+    assert split == serial == (2, "", "error: raised in trial 60\n")
+    monkeypatch.setattr(suites, "_cpus", lambda: cpus)
+    doc = dsl.parse((FIXTURES / "bundle_tower.daff").read_text())
+    with pytest.raises(ConstraintViolated, match="^raised in trial 60$"):
+        suites.run(doc, "verify:tau-kappa", trials=trials)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error", [ConstraintViolated, KeyboardInterrupt])
+def test_a_raise_in_the_first_chunk_ends_the_running_children(error, monkeypatch):
+    monkeypatch.setattr(suites, "_cpus", lambda: 3)
+    for name, value in _raise_from(5, error).items():
+        monkeypatch.setattr(suites, name, value)
+    doc = dsl.parse((FIXTURES / "bundle_tower.daff").read_text())
+    with pytest.raises(error, match="^raised in trial 5$"):
+        suites.run(doc, "verify:tau-kappa", trials=300)
+    _no_child_left()
+
+
+def test_a_child_ending_without_a_result_names_its_trials(monkeypatch):
+    caller = os.getpid()
+
+    def vanish(value, i, *args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return value
+
+    monkeypatch.setattr(suites, "_cpus", lambda: 2)
+    for name, value in _from_trial("tau", vanish, 60).items():
+        monkeypatch.setattr(suites, name, value)
+    doc = dsl.parse((FIXTURES / "bundle_tower.daff").read_text())
+    with pytest.raises(DaffineError, match=r"^trials 50\.\.99 ended without a result$"):
+        suites.run(doc, "verify:tau-kappa", trials=100)
+    _no_child_left()
